@@ -46,7 +46,6 @@ from .improper_prior import (
     unbiased_noise_variance,
 )
 from .improper_prior import posterior_coefficients as flat_posterior_coefficients
-from .improper_prior import predict_at as flat_predict_at
 from .gaussian_prior import (
     LadderPoint,
     diffuse_limit_decomposition,
@@ -56,7 +55,6 @@ from .gaussian_prior import (
     penalty_crossing_scale,
     posterior_coefficients,
     predict_at,
-    write_ladder_csv,
 )
 from .selection import (
     ModelScore,
@@ -68,15 +66,12 @@ from .selection import (
     evaluate_objective,
     log_bayes_factor,
     profile_likelihood,
-    score_to_json,
-    write_trace_csv,
 )
 from .full_bayes import (
     HyperPosteriorGrid,
     averaged_model_loglik,
     build_hyper_posterior,
     sample_posterior,
-    write_samples_csv,
 )
 from .oracles import (
     QuadratureSpec,
@@ -127,7 +122,6 @@ __all__ = [
     "evaluate_objective",
     "feature_vector",
     "flat_posterior_coefficients",
-    "flat_predict_at",
     "isotropic_prior",
     "log_area_under_likelihood",
     "log_bayes_factor",
@@ -146,10 +140,6 @@ __all__ = [
     "resampling_estimator_stats",
     "residual_dof",
     "sample_posterior",
-    "score_to_json",
     "smooth",
     "unbiased_noise_variance",
-    "write_ladder_csv",
-    "write_samples_csv",
-    "write_trace_csv",
 ]

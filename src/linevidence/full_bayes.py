@@ -11,25 +11,18 @@ weights.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.special
 
 from . import improper_prior
-from .exceptions import (
-    AllDegenerate,
-    DegenerateDof,
-    DimensionMismatch,
-    NonFiniteMassWarning,
-    RankDeficient,
-)
+from .exceptions import AllDegenerate, DimensionMismatch, NonFiniteMassWarning
 from .model import BasisFamily, Dataset, GaussianBelief, HyperParams, build_design_matrix, log_likelihood
-from .selection import assemble_hyperparams
+from .selection import _DEGENERATE, _positive_variances, assemble_hyperparams
 
 _BOUNDARY_MASS_LIMIT = 0.5
 
@@ -57,14 +50,6 @@ class HyperPosteriorGrid:
         return self.points.shape[0]
 
 
-def _normalized_probs(log_weights: np.ndarray) -> np.ndarray:
-    top = np.max(log_weights)
-    if top == -math.inf:
-        raise AllDegenerate("every grid point has weight zero")
-    w = np.exp(log_weights - top)
-    return w / np.sum(w)
-
-
 def build_hyper_posterior(
     dataset: Dataset,
     family: BasisFamily,
@@ -74,7 +59,7 @@ def build_hyper_posterior(
 ) -> HyperPosteriorGrid:
     """Weight each grid point by its likelihood area and normalize.
 
-    Degenerate points (rank-deficient designs, invalid variances) are flagged
+    Degenerate points (rank-deficient designs, nonpositive variances) are flagged
     and carry -inf weight instead of aborting the sweep; if more than half of
     the resulting probability mass sits on the bounding box of the grid, a
     :class:`NonFiniteMassWarning` is emitted because the continuous integral
@@ -91,20 +76,22 @@ def build_hyper_posterior(
     k = points.shape[0]
     log_weights = np.full(k, -math.inf)
     posteriors: list[GaussianBelief | None] = [None] * k
-    failed = np.zeros(k, dtype=bool)
+    failed = np.array([not _positive_variances(names, vec) for vec in points], dtype=bool)
     y = dataset.outputs
-    for i in range(k):
+    for i in np.flatnonzero(~failed):
+        params = assemble_hyperparams(names, points[i], fixed, family)
         try:
-            params = assemble_hyperparams(names, points[i], fixed, family)
             design = build_design_matrix(dataset, family, params.alpha)
             report = improper_prior.log_area_under_likelihood(y, design, params.sigma_e2)
             log_weights[i] = report.log_value
             posteriors[i] = improper_prior.posterior_coefficients(
                 y, design, params.sigma_e2
             )
-        except (RankDeficient, DegenerateDof, ValueError):
+        except _DEGENERATE:
             failed[i] = True
-    probs = _normalized_probs(log_weights)
+    if np.all(failed):
+        raise AllDegenerate("every grid point has weight zero")
+    probs = scipy.special.softmax(log_weights)
 
     lo = points.min(axis=0)
     hi = points.max(axis=0)
@@ -177,29 +164,4 @@ def averaged_model_loglik(
         terms.append(math.log(p) + ll)
     if not terms:
         raise AllDegenerate("no usable grid points")
-    arr = np.asarray(terms)
-    top = float(np.max(arr))
-    return top + math.log(float(np.sum(np.exp(arr - top))))
-
-
-def write_samples_csv(eta_samples: np.ndarray, theta_samples: np.ndarray, path) -> None:
-    """One row per inner draw: run id, the run's eta, then the theta draw."""
-    eta_samples = np.atleast_2d(np.asarray(eta_samples, dtype=float))
-    theta_samples = np.asarray(theta_samples, dtype=float)
-    if theta_samples.ndim != 3 or theta_samples.shape[0] != eta_samples.shape[0]:
-        raise DimensionMismatch("theta_samples must have shape (R, n_inner, M)")
-    path = Path(path)
-    d = eta_samples.shape[1]
-    m = theta_samples.shape[2]
-    header = (
-        ["run"]
-        + [f"eta_{j}" for j in range(d)]
-        + [f"theta_{j}" for j in range(m)]
-    )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(eta_samples.shape[0]):
-            eta_part = [repr(float(v)) for v in eta_samples[r]]
-            for draw in theta_samples[r]:
-                writer.writerow([str(r)] + eta_part + [repr(float(v)) for v in draw])
+    return float(scipy.special.logsumexp(terms))

@@ -18,9 +18,7 @@ term by term.
 """
 from __future__ import annotations
 
-import csv
 import math
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +32,7 @@ from .model import (
     GaussianBelief,
     _check_noise_var,
     _check_outputs,
+    _checked_cholesky,
     feature_vector,
 )
 
@@ -48,17 +47,6 @@ def isotropic_prior(m: int, scale: float, mean: float = 0.0) -> GaussianBelief:
     if not math.isfinite(mean):
         raise ValueError("prior mean must be finite")
     return GaussianBelief(mean=np.full(m, float(mean)), cov=float(scale) * np.eye(m))
-
-
-def _prior_cholesky(prior: GaussianBelief) -> np.ndarray:
-    try:
-        chol = np.linalg.cholesky(prior.cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPrior("prior covariance is not positive definite") from exc
-    pivots = np.diag(chol) ** 2
-    if np.min(pivots) < 1e-12 * np.max(np.diag(prior.cov)):
-        raise SingularPrior("prior covariance is numerically singular")
-    return chol
 
 
 def _check_prior(design: DesignMatrix, prior: GaussianBelief) -> None:
@@ -104,7 +92,7 @@ def posterior_coefficients(
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
     _check_prior(design, prior)
-    prior_chol = _prior_cholesky(prior)
+    prior_chol = _checked_cholesky(prior.cov, SingularPrior, "prior covariance")
     shifted = y - design.phi @ prior.mean
 
     # M x M route
@@ -145,8 +133,11 @@ def predict_at(
     sigma_e2: float | None = None,
     prior: GaussianBelief | None = None,
 ) -> tuple[float, float]:
-    """Predictive mean and variance of f(x) under the Gaussian-prior posterior.
+    """Predictive mean and variance of f(x) = phi(x)^T theta under ``posterior``.
 
+    ``posterior`` may come from either prior: the Gaussian-prior
+    :func:`posterior_coefficients` or the flat-prior one.  The variance is
+    phi(x)^T Sigma phi(x), with tiny negative round-off clamped to zero.
     When ``design``, ``sigma_e2`` and ``prior`` are supplied, the variance is
     additionally recomputed through the data-space (Woodbury) form
     ``phi^T Sigma phi - phi^T Sigma Phi^T (Phi Sigma Phi^T + sigma_e2 I)^{-1}
@@ -186,7 +177,8 @@ def log_marginal_likelihood(
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
     _check_prior(design, prior)
-    _prior_cholesky(prior)  # reject singular priors before building Sigma_yy
+    # reject singular priors before building Sigma_yy
+    _checked_cholesky(prior.cov, SingularPrior, "prior covariance")
     s_yy = output_covariance(design, sigma_e2, prior)
     try:
         s_chol = np.linalg.cholesky(s_yy)
@@ -304,13 +296,3 @@ def penalty_crossing_scale(design: DesignMatrix, sigma_e2: float, bound: float) 
     return float(
         (2.0 * bound - float(np.sum(np.log(eigvals))) - (n - m) * math.log(sigma_e2)) / m
     )
-
-
-def write_ladder_csv(rows: Sequence[LadderPoint], path) -> None:
-    """Serialize ladder rows as CSV with columns sigma_p2, log_Z, part1, part2."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma_p2", "log_Z", "part1", "part2"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])

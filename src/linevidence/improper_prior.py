@@ -8,27 +8,25 @@ likelihood,
            * exp(-||y - f_hat||^2 / (2 sigma_e2)),
 
 where ``f_hat`` is the least-squares fit.  This module computes the flat-prior
-posterior, predictive, and smoothing distributions, log S and the quantities
+posterior and smoothing distributions, log S and the quantities
 derived from it: the unbiased noise-variance estimator and the profiled cost
 over basis parameters.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConsistencyError, DegenerateFitWarning, DimensionMismatch
+from .exceptions import ConsistencyError, DegenerateFitWarning
 from .model import (
-    BasisFamily,
     DesignMatrix,
     GaussianBelief,
     _check_noise_var,
     _check_outputs,
-    feature_vector,
+    _residual_sum_of_squares,
     residual_dof,
 )
 
@@ -65,17 +63,6 @@ class EvidenceReport:
                 "log_value must equal the negated sum of the three terms"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "log_value": self.log_value,
-            "fitting_term": self.fitting_term,
-            "penalty_term": self.penalty_term,
-            "constant_term": self.constant_term,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_terms(cls, fitting: float, penalty: float, constant: float) -> "EvidenceReport":
         return cls(
@@ -86,35 +73,12 @@ class EvidenceReport:
         )
 
 
-def _residual_sum_of_squares(y: np.ndarray, design: DesignMatrix) -> tuple[np.ndarray, float]:
-    theta_hat = design.solve_gram(design.phi.T @ y)
-    resid = y - design.phi @ theta_hat
-    # direct sum of squares: nonnegative by construction, no cancellation
-    return theta_hat, float(resid @ resid)
-
-
 def posterior_coefficients(y, design: DesignMatrix, sigma_e2: float) -> GaussianBelief:
     """Flat-prior posterior over theta: N(theta_hat, sigma_e2 (Phi^T Phi)^{-1})."""
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
     theta_hat = design.solve_gram(design.phi.T @ y)
     return GaussianBelief(mean=theta_hat, cov=sigma_e2 * design.inv_gram())
-
-
-def predict_at(x, family: BasisFamily, alpha, posterior: GaussianBelief) -> tuple[float, float]:
-    """Predictive mean and variance of f(x) = phi(x)^T theta under ``posterior``.
-
-    The variance is phi(x)^T Sigma phi(x); tiny negative round-off is clamped
-    to zero so callers always see a nonnegative variance.
-    """
-    row = feature_vector(family, alpha, x)
-    if row.size != posterior.dim:
-        raise DimensionMismatch(
-            f"basis row has length {row.size} but posterior is {posterior.dim}-dimensional"
-        )
-    mean = float(row @ posterior.mean)
-    var = float(row @ posterior.cov @ row)
-    return mean, max(var, 0.0)
 
 
 def smooth(y, design: DesignMatrix, sigma_e2: float) -> GaussianBelief:

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DegenerateDof, DimensionMismatch, RankDeficient
+from .exceptions import DegenerateDof, DimensionMismatch, LinEvidenceError, RankDeficient
 
 # Relative pivot threshold: a Cholesky pivot below RANK_RTOL times the largest
-# Gram diagonal entry means the columns are numerically dependent.
+# diagonal entry means the matrix is numerically singular (for a Gram matrix,
+# the columns are numerically dependent).
 RANK_RTOL = 1e-12
 
 _SYMMETRY_RTOL = 1e-10
@@ -109,10 +110,6 @@ class BasisFamily:
         """Length of the ``alpha`` vector this family expects."""
         return self.size if self.kind in ("gaussian-rbf", "exponential-abs") else 0
 
-    @property
-    def param_layout(self) -> str:
-        return "center-per-basis" if self.param_count else "none"
-
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -150,16 +147,6 @@ class HyperParams:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
 
-    def replace(self, **changes) -> "HyperParams":
-        fields = {
-            "alpha": self.alpha,
-            "sigma_e2": self.sigma_e2,
-            "prior_scale": self.prior_scale,
-            "prior_mean": self.prior_mean,
-        }
-        fields.update(changes)
-        return HyperParams(**fields)
-
 
 @dataclass(frozen=True)
 class GaussianBelief:
@@ -189,17 +176,21 @@ class GaussianBelief:
         return self.mean.size
 
 
-def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a Gram matrix, with a relative pivot check."""
+def _checked_cholesky(
+    matrix: np.ndarray, error: type[LinEvidenceError], what: str
+) -> np.ndarray:
+    """Lower Cholesky factor with a relative pivot check; raises ``error``.
+
+    Used for Gram matrices (``RankDeficient``) and prior covariances
+    (``SingularPrior``); ``what`` names the matrix in the message.
+    """
     try:
-        chol = np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
-        raise RankDeficient("Gram matrix is not positive definite") from exc
+        raise error(f"{what} is not positive definite") from exc
     pivots = np.diag(chol) ** 2
-    if np.min(pivots) < RANK_RTOL * np.max(np.diag(gram)):
-        raise RankDeficient(
-            "Gram matrix is numerically singular (pivot below relative threshold)"
-        )
+    if np.min(pivots) < RANK_RTOL * np.max(np.diag(matrix)):
+        raise error(f"{what} is numerically singular (pivot below relative threshold)")
     return chol
 
 
@@ -300,7 +291,7 @@ def build_design_matrix(dataset: Dataset, family: BasisFamily, alpha) -> DesignM
         raise RankDeficient("design matrix contains non-finite entries")
     gram = phi.T @ phi
     gram = 0.5 * (gram + gram.T)
-    chol = _gram_cholesky(gram)
+    chol = _checked_cholesky(gram, RankDeficient, "Gram matrix")
     return DesignMatrix(phi=phi, gram=gram, chol=chol)
 
 
@@ -326,9 +317,15 @@ def ml_estimate(y, design: DesignMatrix) -> tuple[np.ndarray, float]:
     ``sigma2_ml = ||y - Phi theta_hat||^2 / N``.
     """
     y = _check_outputs(y, design)
+    theta_hat, rss = _residual_sum_of_squares(y, design)
+    return theta_hat, rss / design.n
+
+
+def _residual_sum_of_squares(y: np.ndarray, design: DesignMatrix) -> tuple[np.ndarray, float]:
     theta_hat = design.solve_gram(design.phi.T @ y)
     resid = y - design.phi @ theta_hat
-    return theta_hat, float(resid @ resid) / design.n
+    # direct sum of squares: nonnegative by construction, no cancellation
+    return theta_hat, float(resid @ resid)
 
 
 def ml_sampling_distribution(

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .exceptions import DegenerateDof, DimensionMismatch, DimensionTooLarge
 from .model import DesignMatrix, GaussianBelief
@@ -44,13 +45,6 @@ def _loglik_batch(thetas: np.ndarray, y: np.ndarray, phi: np.ndarray, sigma_e2: 
     return -0.5 * n * np.log(2.0 * np.pi * sigma_e2) - 0.5 * np.einsum(
         "ij,ij->i", resid, resid
     ) / sigma_e2
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    top = float(np.max(values))
-    if top == -math.inf:
-        return -math.inf
-    return top + math.log(float(np.sum(np.exp(values - top))))
 
 
 def quadrature_log_area(
@@ -94,8 +88,8 @@ def quadrature_log_area(
         for start in range(0, thetas.shape[0], _CHUNK):
             block = slice(start, start + _CHUNK)
             logf = _loglik_batch(thetas[block], y, phi, sigma_e2)
-            parts.append(_logsumexp(logf + log_weights_1d[0][block]))
-        return _logsumexp(np.asarray(parts))
+            parts.append(scipy.special.logsumexp(logf + log_weights_1d[0][block]))
+        return float(scipy.special.logsumexp(parts))
 
     # m == 2: sweep rows of the tensor grid in slabs
     parts = []
@@ -111,8 +105,8 @@ def quadrature_log_area(
             np.repeat(log_weights_1d[0][start : start + rows_per_slab], t2.size)
             + np.tile(log_weights_1d[1], t1.size)
         )
-        parts.append(_logsumexp(logf + logw))
-    return _logsumexp(np.asarray(parts))
+        parts.append(scipy.special.logsumexp(logf + logw))
+    return float(scipy.special.logsumexp(parts))
 
 
 def monte_carlo_log_marginal(
@@ -126,8 +120,8 @@ def monte_carlo_log_marginal(
     """Monte Carlo estimate of log Z by averaging the likelihood over prior draws.
 
     Returns ``(log_z_hat, se_log)`` where ``se_log`` is the delta-method
-    standard error of the log estimate.  Draws and the average are organized
-    so that only shifted exponentials are ever materialized.
+    standard error of the log estimate.  The average is taken in log domain,
+    so no unshifted exponential is ever materialized.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     phi = design.phi
@@ -145,11 +139,10 @@ def monte_carlo_log_marginal(
         z = rng.standard_normal((stop - start, prior.dim))
         thetas = prior.mean[None, :] + z @ chol.T
         logf[start:stop] = _loglik_batch(thetas, y, phi, sigma_e2)
-    top = float(np.max(logf))
-    w = np.exp(logf - top)
-    mean_w = float(np.mean(w))
-    log_z = top + math.log(mean_w)
-    se_log = float(np.std(w, ddof=1)) / (mean_w * math.sqrt(n_samples))
+    log_z = float(scipy.special.logsumexp(logf)) - math.log(n_samples)
+    # the relative standard error is scale-free, so normalized weights serve
+    w = scipy.special.softmax(logf)
+    se_log = float(np.std(w, ddof=1)) / (float(np.mean(w)) * math.sqrt(n_samples))
     return log_z, se_log
 
 

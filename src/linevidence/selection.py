@@ -6,16 +6,14 @@ averaging weights require every candidate to carry the same ``kind`` tag.
 """
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.optimize
+import scipy.special
 
 from . import gaussian_prior, improper_prior
 from .exceptions import (
@@ -33,6 +31,10 @@ SCORE_KINDS = ("proper", "fake")
 OBJECTIVES = ("log_area", "log_marginal")
 
 _VARIANCE_NAMES = ("sigma_e2", "sigma_p2")
+
+# Failures that mark one sweep point as degenerate.  Anything else, such as a
+# ValueError from malformed caller input, propagates out of the sweep.
+_DEGENERATE = (RankDeficient, SingularPrior, DegenerateDof)
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,10 @@ def log_bayes_factor(a: ModelScore, b: ModelScore) -> float:
 def bma_weights(scores: Sequence[ModelScore], log_prior_weights=None) -> np.ndarray:
     """Normalized posterior model weights from log scores.
 
-    Computed with the usual max-subtraction so a common offset added to every
-    score leaves the weights unchanged up to round-off.  Scores of -inf get
-    weight zero; if all scores are -inf there is nothing to normalize and
-    :class:`AllDegenerate` is raised.
+    Computed by ``scipy.special.softmax``, which subtracts the maximum, so a
+    common offset added to every score leaves the weights unchanged up to
+    round-off.  Scores of -inf get weight zero; if all scores are -inf there
+    is nothing to normalize and :class:`AllDegenerate` is raised.
     """
     if len(scores) == 0:
         raise ValueError("at least one score is required")
@@ -80,11 +82,9 @@ def bma_weights(scores: Sequence[ModelScore], log_prior_weights=None) -> np.ndar
         if lpw.shape != logs.shape:
             raise DimensionMismatch("log_prior_weights must match the number of scores")
         logs = logs + lpw
-    top = np.max(logs)
-    if top == -math.inf:
+    if np.max(logs) == -math.inf:
         raise AllDegenerate("all scores are -inf")
-    w = np.exp(logs - top)
-    return w / np.sum(w)
+    return scipy.special.softmax(logs)
 
 
 @dataclass(frozen=True)
@@ -206,15 +206,18 @@ def evaluate_objective(
         return gaussian_prior.log_marginal_likelihood(
             dataset.outputs, design, params.sigma_e2, prior
         ).log_value
-    except (RankDeficient, SingularPrior, DegenerateDof):
+    except _DEGENERATE:
         return -math.inf
 
 
+def _positive_variances(names, values) -> bool:
+    return all(v > 0 for n, v in zip(names, values) if n in _VARIANCE_NAMES)
+
+
 def _feasible(names, values, config: OptimizerConfig) -> bool:
+    if not _positive_variances(names, values):
+        return False
     by_name = dict(zip(names, values))
-    for name in names:
-        if name in _VARIANCE_NAMES and by_name[name] <= 0:
-            return False
     for lo_name, hi_name in config.ordering:
         if not by_name[lo_name] < by_name[hi_name]:
             return False
@@ -321,9 +324,9 @@ def profile_likelihood(
     At each grid point the coefficients are set to their closed-form ML value
     and the likelihood is evaluated there.  Values are normalized by a joint
     (grid plus Nelder-Mead polish) maximization so the normalized profile lies
-    in (0, 1] wherever it is defined; grid points whose design is degenerate
-    are flagged in ``failed`` and get zero weight rather than failing the
-    whole sweep.
+    in (0, 1] wherever it is defined; grid points with a nonpositive variance
+    or a degenerate design are flagged in ``failed`` and get zero weight
+    rather than failing the whole sweep.
     """
     if names is None:
         names = [f"alpha{i}" for i in range(family.param_count)]
@@ -335,19 +338,19 @@ def profile_likelihood(
         )
 
     def log_profile(vec) -> float:
+        """-inf where a variance is nonpositive or the design is degenerate."""
+        if not _positive_variances(names, vec):
+            return -math.inf
         params = assemble_hyperparams(names, vec, fixed, family)
-        design = build_design_matrix(dataset, family, params.alpha)
-        theta_hat, _ = ml_estimate(dataset.outputs, design)
+        try:
+            design = build_design_matrix(dataset, family, params.alpha)
+            theta_hat, _ = ml_estimate(dataset.outputs, design)
+        except _DEGENERATE:
+            return -math.inf
         return log_likelihood(dataset.outputs, design, theta_hat, params.sigma_e2)
 
-    k = points.shape[0]
-    log_values = np.full(k, -math.inf)
-    failed = np.zeros(k, dtype=bool)
-    for i in range(k):
-        try:
-            log_values[i] = log_profile(points[i])
-        except (RankDeficient, DegenerateDof, ValueError):
-            failed[i] = True
+    log_values = np.array([log_profile(vec) for vec in points])
+    failed = log_values == -math.inf
     if np.all(failed):
         raise AllDegenerate("every grid point failed")
 
@@ -355,10 +358,7 @@ def profile_likelihood(
     log_max = float(log_values[best_idx])
 
     def negated(vec) -> float:
-        try:
-            value = log_profile(vec)
-        except (RankDeficient, DegenerateDof, ValueError):
-            return math.inf
+        value = log_profile(vec)
         return -value if math.isfinite(value) else math.inf
 
     result = scipy.optimize.minimize(
@@ -380,29 +380,3 @@ def profile_likelihood(
         log_max=log_max,
         failed=failed,
     )
-
-
-def write_trace_csv(trace: Sequence[tuple[dict, float]], path) -> None:
-    """One row per objective evaluation: free parameters then the value."""
-    path = Path(path)
-    if not trace:
-        raise ValueError("trace is empty")
-    names = list(trace[0][0])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["objective"])
-        for params, value in trace:
-            writer.writerow([repr(float(params[n])) for n in names] + [repr(float(value))])
-
-
-def score_to_json(params: HyperParams, value: float, objective: str) -> str:
-    """Serialize an optimizer result as a JSON object."""
-    payload = {
-        "objective": objective,
-        "value": float(value),
-        "alpha": [float(a) for a in params.alpha],
-        "sigma_e2": params.sigma_e2,
-        "prior_scale": params.prior_scale,
-        "prior_mean": params.prior_mean,
-    }
-    return json.dumps(payload)

@@ -17,9 +17,7 @@ from linevidence import (
     flat_posterior_coefficients,
     log_likelihood,
     sample_posterior,
-    write_samples_csv,
 )
-from linevidence.full_bayes import _normalized_probs
 
 
 def rbf_dataset(seed=7, n=40, center=1.0):
@@ -57,12 +55,6 @@ class TestBuildHyperPosterior:
         assert grid.log_weights[0] == grid.log_weights[1]
         np.testing.assert_array_equal(grid.probs, [0.5, 0.5])
 
-    def test_normalization_shift_invariant(self):
-        logs = np.array([-1200.5, -1201.5, -1199.25])
-        base = _normalized_probs(logs)
-        shifted = _normalized_probs(logs + 987.0)
-        np.testing.assert_allclose(base, shifted, rtol=1e-12)
-
     def test_all_dead_grid_raises(self):
         ds, family2 = rbf_dataset()
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
@@ -82,6 +74,21 @@ class TestBuildHyperPosterior:
         assert grid.probs[0] == 0.0
         assert grid.posteriors[0] is None
         assert grid.probs[1] == 1.0
+
+    def test_nonpositive_variance_points_flagged(self):
+        ds, family = rbf_dataset()
+        points = [[1.0, 0.0], [1.0, -0.09], [1.0, 0.09]]
+        with pytest.warns(NonFiniteMassWarning):
+            grid = build_hyper_posterior(
+                ds, family, points, fixed=FIXED_RBF, names=["alpha0", "sigma_e2"]
+            )
+        assert grid.failed.tolist() == [True, True, False]
+        assert grid.probs.tolist() == [0.0, 0.0, 1.0]
+
+    def test_missing_noise_variance_is_a_caller_error(self):
+        ds, _ = rbf_dataset()
+        with pytest.raises(ValueError, match="sigma_e2 must be supplied"):
+            build_hyper_posterior(ds, BasisFamily("gaussian-rbf", 1), [[0.5], [1.5]])
 
     def test_mass_piles_on_edge_when_truth_is_outside(self):
         ds, family = rbf_dataset(center=4.0)
@@ -208,21 +215,3 @@ class TestAveragedModelLoglik:
         ]
         got = averaged_model_loglik(grid, ds, family, theta)
         assert min(per_point) <= got <= max(per_point) + 1e-12
-
-
-class TestSamplesCsv:
-    def test_layout(self, tmp_path):
-        eta = np.array([[0.5], [1.5]])
-        theta = np.zeros((2, 3, 2))
-        theta[1] = 7.0
-        path = tmp_path / "samples.csv"
-        write_samples_csv(eta, theta, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "run,eta_0,theta_0,theta_1"
-        assert len(lines) == 1 + 2 * 3
-        assert lines[1].split(",")[0] == "0"
-        assert lines[-1] == "1,1.5,7.0,7.0"
-
-    def test_shape_checked(self, tmp_path):
-        with pytest.raises(DimensionMismatch):
-            write_samples_csv(np.zeros((2, 1)), np.zeros((3, 4, 1)), tmp_path / "x.csv")

@@ -15,7 +15,6 @@ from linevidence import (
     build_design_matrix,
     diffuse_limit_decomposition,
     flat_posterior_coefficients,
-    flat_predict_at,
     isotropic_prior,
     log_area_under_likelihood,
     log_marginal_likelihood,
@@ -25,7 +24,6 @@ from linevidence import (
     posterior_coefficients,
     predict_at,
     smooth,
-    write_ladder_csv,
 )
 
 TWO_POINT = Dataset(inputs=[[-1.0], [1.0]], outputs=[-2.0, 2.0])
@@ -101,6 +99,15 @@ class TestPosteriorCoefficients:
         with pytest.raises(SingularPrior):
             posterior_coefficients(np.zeros(4), design, 1.0, prior)
 
+    @pytest.mark.parametrize("score", [posterior_coefficients, log_marginal_likelihood])
+    def test_numerically_singular_prior_rejected(self, score):
+        # the factorization succeeds; the relative pivot check must reject it
+        design = poly_design(5, 2)
+        prior = GaussianBelief(mean=[0.0, 0.0], cov=np.diag([1.0, 1e-14]))
+        with pytest.raises(SingularPrior) as excinfo:
+            score(np.zeros(5), design, 1.0, prior)
+        assert excinfo.value.__cause__ is None
+
 
 class TestPredictAt:
     def test_null_feature(self):
@@ -119,7 +126,7 @@ class TestPredictAt:
         )
         flat = flat_posterior_coefficients(ds.outputs, design, 0.5)
         mu_g, var_g = predict_at(0.4, family, [], diffuse)
-        mu_f, var_f = flat_predict_at(0.4, family, [], flat)
+        mu_f, var_f = predict_at(0.4, family, [], flat)
         assert mu_g == pytest.approx(mu_f, rel=1e-5)
         assert var_g == pytest.approx(var_f, rel=1e-5)
 
@@ -228,16 +235,6 @@ class TestDiffuseLadder:
     def test_bad_ladders_rejected(self, ladder):
         with pytest.raises(ValueError):
             diffuse_limit_decomposition(self.y, self.design, 1.0, ladder)
-
-    def test_csv_round_trip(self, tmp_path):
-        rungs = diffuse_limit_decomposition(self.y, self.design, 1.0, [1.0, 10.0])
-        path = tmp_path / "ladder.csv"
-        write_ladder_csv(rungs, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "sigma_p2,log_Z,part1,part2"
-        values = [float(v) for v in lines[1].split(",")]
-        assert values[0] == rungs[0].sigma_p2
-        assert values[1] == rungs[0].log_z
 
 
 class TestPenaltyCrossing:

@@ -6,7 +6,6 @@ oracle (801 nodes, 12-sigma box) before the closed forms were trusted:
     y = [-1, 1], ones design, sigma_e2 = 1  ->  log S = -2.2655121234846
     y = [-2, 2], ones design, sigma_e2 = 1  ->  log S = -5.2655121234846
 """
-import json
 import math
 
 import numpy as np
@@ -26,9 +25,9 @@ from linevidence import (
     RankDeficient,
     build_design_matrix,
     flat_posterior_coefficients,
-    flat_predict_at,
     log_area_under_likelihood,
     log_likelihood,
+    predict_at,
     profiled_cost,
     quadrature_log_area,
     smooth,
@@ -64,12 +63,6 @@ class TestEvidenceReport:
             EvidenceReport(
                 log_value=-math.inf, fitting_term=math.inf, penalty_term=0.0, constant_term=0.0
             )
-
-    def test_json_round_trip(self):
-        report = EvidenceReport.from_terms(1.0, 0.5, 0.25)
-        loaded = json.loads(report.to_json())
-        assert loaded["log_value"] == report.log_value
-        assert loaded["fitting_term"] == 1.0
 
 
 class TestPosteriorCoefficients:
@@ -111,7 +104,7 @@ class TestPredictAt:
         # an rbf center far from x underflows to an exactly zero feature
         family = BasisFamily("gaussian-rbf", 1)
         posterior = GaussianBelief(mean=[2.0], cov=[[0.5]])
-        mu, var = flat_predict_at(1e4, family, [0.0], posterior)
+        mu, var = predict_at(1e4, family, [0.0], posterior)
         assert mu == 0.0
         assert var == 0.0
 
@@ -134,7 +127,7 @@ class TestPredictAt:
         centers = [-0.5, 0.5]
         design = build_design_matrix(ds, family, centers)
         posterior = flat_posterior_coefficients(ds.outputs, design, 0.8)
-        mu, var = flat_predict_at(0.3, family, centers, posterior)
+        mu, var = predict_at(0.3, family, centers, posterior)
         draws = rng.multivariate_normal(posterior.mean, posterior.cov, size=100_000)
         row_vals = draws @ np.exp(-0.5 * (0.3 - np.asarray(centers)) ** 2)
         emp_mean = float(np.mean(row_vals))
@@ -145,7 +138,7 @@ class TestPredictAt:
     def test_dimension_mismatch(self):
         posterior = GaussianBelief(mean=[0.0], cov=[[1.0]])
         with pytest.raises(DimensionMismatch):
-            flat_predict_at(0.0, BasisFamily("polynomial", 2), [], posterior)
+            predict_at(0.0, BasisFamily("polynomial", 2), [], posterior)
 
 
 class TestSmooth:

@@ -120,12 +120,6 @@ class TestHyperParams:
             # a prior mean is meaningless without a prior scale
             HyperParams(alpha=[0.0], sigma_e2=1.0, prior_mean=2.0)
 
-    def test_replace(self):
-        base = HyperParams(alpha=[1.0, 2.0], sigma_e2=0.5)
-        bumped = base.replace(sigma_e2=0.7)
-        assert bumped.sigma_e2 == 0.7
-        np.testing.assert_array_equal(bumped.alpha, base.alpha)
-
 
 class TestGaussianBelief:
     def test_asymmetric_cov_rejected(self):
@@ -185,6 +179,15 @@ class TestDesignMatrix:
         ds = Dataset(inputs=x[:, None], outputs=np.zeros(5))
         with pytest.raises(RankDeficient):
             build_design_matrix(ds, BasisFamily("gaussian-rbf", 2), [0.3, 0.3])
+
+    def test_nearly_duplicate_centers_rejected(self):
+        # the factorization succeeds with a relative pivot near 3e-15; the
+        # relative pivot check must reject it
+        x = np.linspace(-1, 1, 5)
+        ds = Dataset(inputs=x[:, None], outputs=np.zeros(5))
+        with pytest.raises(RankDeficient) as excinfo:
+            build_design_matrix(ds, BasisFamily("gaussian-rbf", 2), [0.3, 0.3 + 1e-7])
+        assert excinfo.value.__cause__ is None
 
     def test_log_det_gram(self):
         x = np.linspace(-1, 1, 6)

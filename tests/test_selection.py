@@ -1,5 +1,4 @@
 """Score comparison, averaging weights, and hyperparameter search."""
-import json
 import math
 
 import numpy as np
@@ -24,9 +23,7 @@ from linevidence import (
     log_bayes_factor,
     log_marginal_likelihood,
     profile_likelihood,
-    score_to_json,
     unbiased_noise_variance,
-    write_trace_csv,
 )
 
 TWO_POINT = Dataset(inputs=[[-1.0], [1.0]], outputs=[-2.0, 2.0])
@@ -342,6 +339,19 @@ class TestProfileLikelihood:
         assert result.normalized[0] == 0.0
         assert result.normalized[1] > 0.0
 
+    def test_nonpositive_noise_variance_flagged_not_fatal(self):
+        fixed = HyperParams(alpha=[], sigma_e2=1.0)
+        result = profile_likelihood(
+            TWO_POINT, CONSTANT, [[0.0], [-1.0], [4.0]], fixed=fixed, names=("sigma_e2",)
+        )
+        assert result.failed.tolist() == [True, True, False]
+        assert result.normalized[:2].tolist() == [0.0, 0.0]
+
+    def test_missing_noise_variance_is_a_caller_error(self):
+        ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="sigma_e2 must be supplied"):
+            profile_likelihood(ds, BasisFamily("gaussian-rbf", 1), [[0.5], [1.5]])
+
     def test_all_degenerate(self):
         ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
@@ -355,26 +365,3 @@ class TestProfileLikelihood:
             profile_likelihood(
                 TWO_POINT, CONSTANT, [[1.0, 2.0]], fixed=fixed, names=("sigma_e2",)
             )
-
-
-class TestSerialization:
-    def test_trace_round_trip(self, tmp_path):
-        trace = [({"alpha0": -1.0, "sigma_e2": 0.5}, -3.25), ({"alpha0": 1.0, "sigma_e2": 0.5}, -4.5)]
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "alpha0,sigma_e2,objective"
-        assert lines[1] == "-1.0,0.5,-3.25"
-
-    def test_empty_trace_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_trace_csv([], tmp_path / "trace.csv")
-
-    def test_score_json_fields(self):
-        params = HyperParams(alpha=[-4.0, 6.0], sigma_e2=0.5, prior_scale=2.0)
-        payload = json.loads(score_to_json(params, -12.5, "log_marginal"))
-        assert payload["objective"] == "log_marginal"
-        assert payload["value"] == -12.5
-        assert payload["alpha"] == [-4.0, 6.0]
-        assert payload["sigma_e2"] == 0.5
-        assert payload["prior_mean"] is None
