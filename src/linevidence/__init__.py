@@ -30,8 +30,6 @@ from .model import (
     GaussianBelief,
     HyperParams,
     build_design_matrix,
-    dataset_from_csv,
-    dataset_from_json,
     feature_vector,
     log_likelihood,
     ml_estimate,
@@ -115,8 +113,6 @@ __all__ = [
     "bma_weights",
     "build_design_matrix",
     "build_hyper_posterior",
-    "dataset_from_csv",
-    "dataset_from_json",
     "diffuse_limit_decomposition",
     "empirical_bayes_optimize",
     "evaluate_objective",

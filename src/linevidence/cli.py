@@ -258,7 +258,7 @@ def cmd_example2(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_checks(seed: int, corrupt_noise: bool) -> list[dict]:
+def _verify_checks(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
 
@@ -278,10 +278,7 @@ def _verify_checks(seed: int, corrupt_noise: bool) -> list[dict]:
             dataset = Dataset(inputs=np.linspace(-1, 1, n)[:, None], outputs=y_vec)
             design = build_design_matrix(dataset, BasisFamily("polynomial", m), [])
             sigma2 = float(rng.uniform(0.4, 2.5))
-            closed_sigma2 = -sigma2 if corrupt_noise else sigma2
-            closed = improper_prior.log_area_under_likelihood(
-                y_vec, design, closed_sigma2
-            ).log_value
+            closed = improper_prior.log_area_under_likelihood(y_vec, design, sigma2).log_value
             approx = oracles.quadrature_log_area(
                 y_vec, design, sigma2, oracles.QuadratureSpec(nodes_per_dim=401)
             )
@@ -370,8 +367,8 @@ def _verify_checks(seed: int, corrupt_noise: bool) -> list[dict]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig, corrupt_noise: bool = False) -> int:
-    checks = _verify_checks(cfg.seed, corrupt_noise)
+def cmd_verify(cfg: RunConfig) -> int:
+    checks = _verify_checks(cfg.seed)
     all_passed = all(c["passed"] for c in checks)
     report = {
         "meta": _meta("verify", cfg),
@@ -407,7 +404,6 @@ def main(argv=None) -> int:
     p_ex2.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_ver = sub.add_parser("verify", parents=[common], help="oracle cross-check suite")
     p_ver.add_argument("--seed", type=int, default=20250811, help="random seed")
-    p_ver.add_argument("--corrupt-noise", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     try:
@@ -429,7 +425,7 @@ def main(argv=None) -> int:
         return cmd_asymptote(cfg)
     if args.command == "example2":
         return cmd_example2(cfg)
-    return cmd_verify(cfg, corrupt_noise=args.corrupt_noise)
+    return cmd_verify(cfg)
 
 
 def entry_point() -> None:

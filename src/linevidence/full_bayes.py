@@ -20,9 +20,9 @@ import numpy as np
 import scipy.special
 
 from . import improper_prior
-from .exceptions import AllDegenerate, DimensionMismatch, NonFiniteMassWarning
+from .exceptions import AllDegenerate, NonFiniteMassWarning
 from .model import BasisFamily, Dataset, GaussianBelief, HyperParams, build_design_matrix, log_likelihood
-from .selection import _DEGENERATE, _positive_variances, assemble_hyperparams
+from .selection import _DEGENERATE, _grid_points, _positive_variances, assemble_hyperparams
 
 _BOUNDARY_MASS_LIMIT = 0.5
 
@@ -65,14 +65,7 @@ def build_hyper_posterior(
     :class:`NonFiniteMassWarning` is emitted because the continuous integral
     the grid stands in for is then likely not finite.
     """
-    if names is None:
-        names = [f"alpha{i}" for i in range(family.param_count)]
-    names = list(names)
-    points = np.atleast_2d(np.asarray(eta_points, dtype=float))
-    if points.shape[1] != len(names):
-        raise DimensionMismatch(
-            f"eta points have {points.shape[1]} columns for {len(names)} names"
-        )
+    names, points = _grid_points(family, eta_points, names)
     k = points.shape[0]
     log_weights = np.full(k, -math.inf)
     posteriors: list[GaussianBelief | None] = [None] * k

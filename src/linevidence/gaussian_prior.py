@@ -10,11 +10,15 @@ an M x M system in coefficient space and an N x N system in data space.  Both
 are always computed and cross-checked; collapsing the pair into one route
 would hide exactly the numerical failures the check exists to catch.
 
+Every data-space computation factors the output covariance through
+``_output_cholesky``, the one place that factorization is done and checked.
+
 The diffuse-limit ladder evaluates log Z along an increasing sequence of
 isotropic prior scales and splits -log Z into the Woodbury-reduced fitting
 part (which converges to the flat-prior fitting term) and the log-determinant
 part (which grows without bound), making the Z -> 0 diffuse limit visible
-term by term.
+term by term.  Its reference route on every rung is
+:func:`log_marginal_likelihood` itself.
 """
 from __future__ import annotations
 
@@ -61,14 +65,17 @@ def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
-def _dual_route_rtol(design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> float:
-    # the data-space route solves with Phi Sigma Phi^T + sigma_e2 I, whose
-    # eigenvalues lie in [sigma_e2, sigma_e2 + trace(Sigma Phi^T Phi)]; no
-    # backward-stable solve can beat eps * cond of that matrix, so widen the
-    # agreement tolerance with conditioning but never below the baseline
-    spread = max(float(np.trace(prior.cov @ design.gram)), 0.0)
-    cond_bound = 1.0 + spread / sigma_e2
-    return max(_DUAL_ROUTE_RTOL, 32.0 * float(np.finfo(float).eps) * cond_bound)
+def _route_rtol(baseline: float, cond_bound: float) -> float:
+    # no backward-stable solve with a matrix of condition number cond_bound
+    # can beat eps * cond_bound, so widen the agreement tolerance with
+    # conditioning but never below the baseline
+    return max(baseline, 32.0 * float(np.finfo(float).eps) * cond_bound)
+
+
+def _output_cond_bound(design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> float:
+    # Phi Sigma Phi^T + sigma_e2 I has its eigenvalues in
+    # [sigma_e2, sigma_e2 + trace(Sigma Phi^T Phi)]
+    return 1.0 + float(np.trace(prior.cov @ design.gram)) / sigma_e2
 
 
 def output_covariance(design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> np.ndarray:
@@ -77,6 +84,18 @@ def output_covariance(design: DesignMatrix, sigma_e2: float, prior: GaussianBeli
     _check_prior(design, prior)
     cov = design.phi @ prior.cov @ design.phi.T + sigma_e2 * np.eye(design.n)
     return 0.5 * (cov + cov.T)
+
+
+def _output_cholesky(design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> np.ndarray:
+    """Lower Cholesky factor of :func:`output_covariance`.
+
+    This is the only N x N factorization in the module.  A factorization
+    that fails raises :class:`ConsistencyError`, never numpy's LinAlgError.
+    """
+    try:
+        return np.linalg.cholesky(output_covariance(design, sigma_e2, prior))
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError("output covariance lost positive definiteness") from exc
 
 
 def posterior_coefficients(
@@ -108,14 +127,13 @@ def posterior_coefficients(
     cov_mm = 0.5 * (cov_mm + cov_mm.T)
 
     # N x N route
-    s_yy = output_covariance(design, sigma_e2, prior)
-    s_chol = np.linalg.cholesky(s_yy)
+    s_chol = _output_cholesky(design, sigma_e2, prior)
     gain = prior.cov @ design.phi.T  # M x N
     mean_nn = prior.mean + gain @ scipy.linalg.cho_solve((s_chol, True), shifted)
     cov_nn = prior.cov - gain @ scipy.linalg.cho_solve((s_chol, True), gain.T)
     cov_nn = 0.5 * (cov_nn + cov_nn.T)
 
-    rtol = _dual_route_rtol(design, sigma_e2, prior)
+    rtol = _route_rtol(_DUAL_ROUTE_RTOL, _output_cond_bound(design, sigma_e2, prior))
     if _rel_gap(mean_mm, mean_nn) > rtol:
         raise ConsistencyError("posterior mean routes disagree beyond tolerance")
     if _rel_gap(cov_mm, cov_nn) > rtol:
@@ -141,8 +159,12 @@ def predict_at(
     When ``design``, ``sigma_e2`` and ``prior`` are supplied, the variance is
     additionally recomputed through the data-space (Woodbury) form
     ``phi^T Sigma phi - phi^T Sigma Phi^T (Phi Sigma Phi^T + sigma_e2 I)^{-1}
-    Phi Sigma phi`` and the two values must agree to 1e-10.
+    Phi Sigma phi`` and the two values must agree to 1e-10.  Supplying only
+    some of the three raises ValueError.
     """
+    supplied = sum(arg is not None for arg in (design, sigma_e2, prior))
+    if supplied not in (0, 3):
+        raise ValueError("design, sigma_e2 and prior must be given together or not at all")
     row = feature_vector(family, alpha, x)
     if row.size != posterior.dim:
         raise DimensionMismatch(
@@ -150,16 +172,14 @@ def predict_at(
         )
     mean = float(row @ posterior.mean)
     var = float(row @ posterior.cov @ row)
-    if design is not None and sigma_e2 is not None and prior is not None:
-        _check_prior(design, prior)
-        s_yy = output_covariance(design, sigma_e2, prior)
-        s_chol = np.linalg.cholesky(s_yy)
+    if supplied:
+        s_chol = _output_cholesky(design, sigma_e2, prior)
         v = design.phi @ (prior.cov @ row)
         var_ww = float(row @ prior.cov @ row) - float(
             v @ scipy.linalg.cho_solve((s_chol, True), v)
         )
         denom = max(abs(var), abs(var_ww), 1e-300)
-        rtol = _dual_route_rtol(design, sigma_e2, prior)
+        rtol = _route_rtol(_DUAL_ROUTE_RTOL, _output_cond_bound(design, sigma_e2, prior))
         if abs(var - var_ww) > rtol * max(denom, 1.0):
             raise ConsistencyError("predictive variance routes disagree beyond tolerance")
     return mean, max(var, 0.0)
@@ -179,11 +199,7 @@ def log_marginal_likelihood(
     _check_prior(design, prior)
     # reject singular priors before building Sigma_yy
     _checked_cholesky(prior.cov, SingularPrior, "prior covariance")
-    s_yy = output_covariance(design, sigma_e2, prior)
-    try:
-        s_chol = np.linalg.cholesky(s_yy)
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError("output covariance lost positive definiteness") from exc
+    s_chol = _output_cholesky(design, sigma_e2, prior)
     shifted = y - design.phi @ prior.mean
     white = scipy.linalg.solve_triangular(s_chol, shifted, lower=True)
     fitting = 0.5 * float(white @ white)
@@ -216,8 +232,10 @@ def diffuse_limit_decomposition(
 
     with ``y~ = y - Phi mu_p``, and ``log_z = -(part1 + part2 + N/2 log 2pi)``.
     A single eigendecomposition of the Gram matrix is shared by every rung;
-    each rung is cross-checked against a direct N x N factorization (both the
-    quadratic form and the determinant) at 1e-8 relative tolerance.
+    each rung is cross-checked against :func:`log_marginal_likelihood` under
+    the same isotropic prior (part1 against its fitting term, part2 against
+    its penalty term) at 1e-8 relative tolerance, widened only when the
+    output covariance is too ill-conditioned for 1e-8 to be representable.
 
     As s grows, part1 falls to the flat-prior fitting term while part2 grows
     without bound: the evidence of an ever-more-diffuse proper prior vanishes
@@ -244,8 +262,6 @@ def diffuse_limit_decomposition(
     log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
 
     out: list[LadderPoint] = []
-    eye_n = np.eye(n)
-    phi_phi_t = design.phi @ design.phi.T
     lam_max = float(eigvals[-1])
     for s in ladder:
         ridge = sigma_e2 / s
@@ -255,22 +271,14 @@ def diffuse_limit_decomposition(
             + (n - m) * math.log(sigma_e2)
         )
 
-        # direct N x N route for the same two quantities
-        s_yy = s * phi_phi_t + sigma_e2 * eye_n
-        s_chol = np.linalg.cholesky(0.5 * (s_yy + s_yy.T))
-        white = scipy.linalg.solve_triangular(s_chol, shifted, lower=True)
-        part1_direct = 0.5 * float(white @ white)
-        part2_direct = float(np.sum(np.log(np.diag(s_chol))))
-        # the direct route cannot beat eps * cond(S): widen only when the
-        # assembled N x N matrix is too ill-conditioned for 1e-8 to be
-        # representable, never below the baseline tolerance
-        cond_s = (s * lam_max + sigma_e2) / sigma_e2
-        rung_rtol = max(_LADDER_RTOL, 32.0 * np.finfo(float).eps * cond_s)
-        if not math.isclose(part1, part1_direct, rel_tol=rung_rtol, abs_tol=1e-12):
+        direct = log_marginal_likelihood(y, design, sigma_e2, isotropic_prior(m, s, prior_mean))
+        # s Phi Phi^T + sigma_e2 I has condition number (s lam_max + sigma_e2) / sigma_e2
+        rung_rtol = _route_rtol(_LADDER_RTOL, (s * lam_max + sigma_e2) / sigma_e2)
+        if not math.isclose(part1, direct.fitting_term, rel_tol=rung_rtol, abs_tol=1e-12):
             raise ConsistencyError(
                 f"Woodbury fitting term disagrees with direct route at sigma_p2={s}"
             )
-        if not math.isclose(part2, part2_direct, rel_tol=rung_rtol, abs_tol=1e-12):
+        if not math.isclose(part2, direct.penalty_term, rel_tol=rung_rtol, abs_tol=1e-12):
             raise ConsistencyError(
                 f"log-determinant term disagrees with direct route at sigma_p2={s}"
             )

@@ -8,11 +8,8 @@ is built on the types and operations defined here.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -361,42 +358,3 @@ def _check_outputs(y, design: DesignMatrix) -> np.ndarray:
 def _check_noise_var(sigma_e2: float) -> None:
     if not (math.isfinite(sigma_e2) and sigma_e2 > 0):
         raise ValueError("sigma_e2 must be a positive finite number")
-
-
-def dataset_from_csv(path) -> Dataset:
-    """Load a dataset from a CSV file with header ``x_1,...,x_d,y``."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty; a header row is required") from None
-        header = [h.strip() for h in header]
-        d = len(header) - 1
-        expected = [f"x_{i}" for i in range(1, d + 1)] + ["y"]
-        if d < 1 or header != expected:
-            raise ValueError(
-                f"{path} must have header x_1,...,x_d,y; got {','.join(header)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
-            rows.append([float(v) for v in row])
-    if not rows:
-        raise ValueError(f"{path} contains no data rows")
-    data = np.asarray(rows, dtype=float)
-    return Dataset(inputs=data[:, :d], outputs=data[:, d])
-
-
-def dataset_from_json(path) -> Dataset:
-    """Load a dataset from a JSON file shaped ``{"x": [[...], ...], "y": [...]}``."""
-    path = Path(path)
-    with path.open() as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or "x" not in payload or "y" not in payload:
-        raise ValueError(f'{path} must be an object with "x" and "y" keys')
-    return Dataset(inputs=payload["x"], outputs=payload["y"])

@@ -214,6 +214,21 @@ def _positive_variances(names, values) -> bool:
     return all(v > 0 for n, v in zip(names, values) if n in _VARIANCE_NAMES)
 
 
+def _grid_points(
+    family: BasisFamily, eta_points, names: Sequence[str] | None
+) -> tuple[list[str], np.ndarray]:
+    """Grid points as a (K, len(names)) array; names default to every alpha."""
+    if names is None:
+        names = [f"alpha{i}" for i in range(family.param_count)]
+    names = list(names)
+    points = np.atleast_2d(np.asarray(eta_points, dtype=float))
+    if points.shape[1] != len(names):
+        raise DimensionMismatch(
+            f"eta points have {points.shape[1]} columns for {len(names)} names"
+        )
+    return names, points
+
+
 def _feasible(names, values, config: OptimizerConfig) -> bool:
     if not _positive_variances(names, values):
         return False
@@ -328,14 +343,7 @@ def profile_likelihood(
     or a degenerate design are flagged in ``failed`` and get zero weight
     rather than failing the whole sweep.
     """
-    if names is None:
-        names = [f"alpha{i}" for i in range(family.param_count)]
-    names = list(names)
-    points = np.atleast_2d(np.asarray(eta_points, dtype=float))
-    if points.shape[1] != len(names):
-        raise DimensionMismatch(
-            f"eta points have {points.shape[1]} columns for {len(names)} names"
-        )
+    names, points = _grid_points(family, eta_points, names)
 
     def log_profile(vec) -> float:
         """-inf where a variance is nonpositive or the design is degenerate."""

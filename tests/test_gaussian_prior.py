@@ -109,6 +109,28 @@ class TestPosteriorCoefficients:
         assert excinfo.value.__cause__ is None
 
 
+class TestOutputCovarianceFailure:
+    # sigma_e2 = 1e-300 makes the output covariance [[1, 1], [1, 1]] to
+    # working precision, so its factorization fails at the second pivot
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda y, design, prior: log_marginal_likelihood(y, design, 1e-300, prior),
+            lambda y, design, prior: posterior_coefficients(y, design, 1e-300, prior),
+            lambda y, design, prior: predict_at(
+                0.0, BasisFamily("constant", 1), [], prior,
+                design=design, sigma_e2=1e-300, prior=prior,
+            ),
+            lambda y, design, prior: diffuse_limit_decomposition(y, design, 1e-300, [1.0]),
+        ],
+        ids=["log_marginal", "posterior", "predict_at", "ladder"],
+    )
+    def test_raises_consistency_error(self, score):
+        design = build_design_matrix(TWO_POINT, BasisFamily("constant", 1), [])
+        with pytest.raises(ConsistencyError, match="positive definiteness"):
+            score(TWO_POINT.outputs, design, isotropic_prior(1, 1.0))
+
+
 class TestPredictAt:
     def test_null_feature(self):
         family = BasisFamily("gaussian-rbf", 1)
@@ -141,6 +163,22 @@ class TestPredictAt:
             design=design, sigma_e2=0.8, prior=prior,
         )
         assert var > 0.0
+
+    @pytest.mark.parametrize(
+        "given",
+        [("design",), ("sigma_e2", "prior"), ("design", "sigma_e2")],
+        ids=["design_only", "no_design", "no_prior"],
+    )
+    def test_partial_woodbury_arguments_rejected(self, given):
+        design = poly_design(6, 2)
+        prior = isotropic_prior(2, 2.0)
+        posterior = posterior_coefficients(np.zeros(6), design, 0.8, prior)
+        available = {"design": design, "sigma_e2": 0.8, "prior": prior}
+        with pytest.raises(ValueError, match="together"):
+            predict_at(
+                0.2, BasisFamily("polynomial", 2), [], posterior,
+                **{name: available[name] for name in given},
+            )
 
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(18)

@@ -1,5 +1,4 @@
 """Data model, basis families, design matrices, and ML estimators."""
-import json
 import math
 
 import numpy as np
@@ -16,8 +15,6 @@ from linevidence import (
     HyperParams,
     RankDeficient,
     build_design_matrix,
-    dataset_from_csv,
-    dataset_from_json,
     feature_vector,
     flat_posterior_coefficients,
     log_likelihood,
@@ -52,41 +49,6 @@ class TestDataset:
             Dataset(inputs=[[1.0], [np.nan]], outputs=[0.0, 0.0])
         with pytest.raises(ValueError):
             Dataset(inputs=[[1.0], [2.0]], outputs=[0.0, np.inf])
-
-
-class TestIngestion:
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("x_1,y\n-1.0,2.5\n0.0,1.0\n1.0,-0.5\n")
-        ds = dataset_from_csv(path)
-        np.testing.assert_array_equal(ds.inputs[:, 0], [-1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(ds.outputs, [2.5, 1.0, -0.5])
-
-    def test_csv_multicolumn_inputs(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("x_1,x_2,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
-        ds = dataset_from_csv(path)
-        assert ds.input_dim == 2
-        np.testing.assert_array_equal(ds.inputs, [[1.0, 2.0], [4.0, 5.0]])
-
-    def test_csv_header_enforced(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b\n1.0,2.0\n")
-        with pytest.raises(ValueError):
-            dataset_from_csv(path)
-
-    def test_json_round_trip(self, tmp_path):
-        path = tmp_path / "data.json"
-        path.write_text(json.dumps({"x": [[0.0], [1.0]], "y": [1.5, 2.5]}))
-        ds = dataset_from_json(path)
-        assert ds.n == 2
-        np.testing.assert_array_equal(ds.outputs, [1.5, 2.5])
-
-    def test_json_missing_key(self, tmp_path):
-        path = tmp_path / "data.json"
-        path.write_text(json.dumps({"x": [[0.0]]}))
-        with pytest.raises(ValueError):
-            dataset_from_json(path)
 
 
 class TestBasisFamily:
