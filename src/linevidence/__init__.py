@@ -33,7 +33,6 @@ from .model import (
     feature_vector,
     log_likelihood,
     ml_estimate,
-    ml_sampling_distribution,
     residual_dof,
 )
 from .improper_prior import (
@@ -124,7 +123,6 @@ __all__ = [
     "log_likelihood",
     "log_marginal_likelihood",
     "ml_estimate",
-    "ml_sampling_distribution",
     "monte_carlo_log_marginal",
     "output_covariance",
     "penalty_crossing_scale",

@@ -56,8 +56,8 @@ class RunConfig:
     def __post_init__(self):
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
-        if self.runs is not None and self.runs < 1:
-            raise ValueError("runs must be positive")
+        if self.runs is not None and self.runs < 2:
+            raise ValueError("runs must be at least 2 for a sample variance")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
         out = Path(self.out_dir)

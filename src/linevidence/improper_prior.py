@@ -126,6 +126,11 @@ def log_area_under_likelihood(y, design: DesignMatrix, sigma_e2: float) -> Evide
     return EvidenceReport.from_terms(fitting, penalty, float(constant))
 
 
+def _zero_residual(y: np.ndarray, rss: float) -> bool:
+    """True when ``rss`` is at the rounding floor of an exact interpolation."""
+    return rss <= _DEGENERATE_RTOL * max(float(y @ y), np.finfo(float).tiny)
+
+
 def unbiased_noise_variance(y, design: DesignMatrix) -> float:
     """Noise-variance estimate ``||y - f_hat||^2 / (N - M)``.
 
@@ -136,7 +141,7 @@ def unbiased_noise_variance(y, design: DesignMatrix) -> float:
     y = _check_outputs(y, design)
     dof = residual_dof(design)
     _, rss = _residual_sum_of_squares(y, design)
-    if rss <= _DEGENERATE_RTOL * max(float(y @ y), np.finfo(float).tiny):
+    if _zero_residual(y, rss):
         warnings.warn(
             "residual is numerically zero; noise-variance estimate is at the boundary",
             DegenerateFitWarning,
@@ -160,7 +165,7 @@ def profiled_cost(y, design: DesignMatrix) -> float:
     y = _check_outputs(y, design)
     dof = residual_dof(design)
     _, rss = _residual_sum_of_squares(y, design)
-    if rss <= _DEGENERATE_RTOL * max(float(y @ y), np.finfo(float).tiny):
+    if _zero_residual(y, rss):
         warnings.warn(
             "residual is numerically zero; profiled cost is -inf",
             DegenerateFitWarning,

@@ -113,14 +113,12 @@ class HyperParams:
     """Basis parameters plus noise (and optionally prior) variances.
 
     ``prior_scale`` is the isotropic prior variance sigma_p^2 on the
-    coefficients; ``prior_mean`` is a common scalar prior mean and is only
-    meaningful when ``prior_scale`` is set.
+    coefficients.
     """
 
     alpha: np.ndarray
     sigma_e2: float
     prior_scale: float | None = None
-    prior_mean: float | None = None
 
     def __post_init__(self):
         alpha = np.atleast_1d(_as_float_array(self.alpha, "alpha"))
@@ -133,16 +131,10 @@ class HyperParams:
             math.isfinite(self.prior_scale) and self.prior_scale > 0
         ):
             raise ValueError("prior_scale must be positive and finite when given")
-        if self.prior_mean is not None:
-            if self.prior_scale is None:
-                raise ValueError("prior_mean requires prior_scale")
-            if not math.isfinite(self.prior_mean):
-                raise ValueError("prior_mean must be finite")
         # keep scalars as plain floats so serialization never sees numpy reprs
         object.__setattr__(self, "sigma_e2", float(self.sigma_e2))
-        for name in ("prior_scale", "prior_mean"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
+        if self.prior_scale is not None:
+            object.__setattr__(self, "prior_scale", float(self.prior_scale))
 
 
 @dataclass(frozen=True)
@@ -323,21 +315,6 @@ def _residual_sum_of_squares(y: np.ndarray, design: DesignMatrix) -> tuple[np.nd
     resid = y - design.phi @ theta_hat
     # direct sum of squares: nonnegative by construction, no cancellation
     return theta_hat, float(resid @ resid)
-
-
-def ml_sampling_distribution(
-    theta_true, design: DesignMatrix, sigma_e2: float
-) -> GaussianBelief:
-    """Exact sampling distribution of theta_hat under repeated noise draws.
-
-    Under ``y = Phi theta_true + e`` the least-squares estimator is normal
-    with mean ``theta_true`` and covariance ``sigma_e2 (Phi^T Phi)^{-1}``.
-    """
-    _check_noise_var(sigma_e2)
-    theta_true = np.atleast_1d(np.asarray(theta_true, dtype=float))
-    if theta_true.shape != (design.m,):
-        raise DimensionMismatch(f"theta_true must have length {design.m}")
-    return GaussianBelief(mean=theta_true, cov=sigma_e2 * design.inv_gram())
 
 
 def residual_dof(design: DesignMatrix) -> int:

@@ -18,24 +18,19 @@ from .exceptions import DegenerateDof, DimensionMismatch, DimensionTooLarge
 from .model import DesignMatrix, GaussianBelief
 
 _CHUNK = 65536
+# half-width of the quadrature box in marginal posterior standard deviations
+_BOX_STDS = 12.0
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor trapezoid grid: an odd node count per axis, a +-k-sigma box."""
+    """Tensor trapezoid grid: an odd node count per axis on a +-12-sigma box."""
 
     nodes_per_dim: int = 801
-    box_stds: float = 12.0
 
     def __post_init__(self):
         if self.nodes_per_dim < 3 or self.nodes_per_dim % 2 == 0:
             raise ValueError("nodes_per_dim must be odd and at least 3")
-        if not (math.isfinite(self.box_stds) and self.box_stds >= 6.0):
-            raise ValueError("box_stds must be at least 6")
-
-    def refined(self) -> "QuadratureSpec":
-        """Same box with (roughly) doubled, still odd, node count."""
-        return QuadratureSpec(nodes_per_dim=2 * self.nodes_per_dim + 1, box_stds=self.box_stds)
 
 
 def _loglik_batch(thetas: np.ndarray, y: np.ndarray, phi: np.ndarray, sigma_e2: float) -> np.ndarray:
@@ -53,7 +48,7 @@ def quadrature_log_area(
     """Trapezoid-grid estimate of log integral of the likelihood over theta.
 
     Supports M <= 2 (the box grows exponentially with dimension).  The box is
-    centered on the least-squares solution and spans ``box_stds`` marginal
+    centered on the least-squares solution and spans ``_BOX_STDS`` marginal
     posterior standard deviations per axis; the likelihood is evaluated from
     its definition on the grid and accumulated entirely in log domain.
     """
@@ -72,8 +67,8 @@ def quadrature_log_area(
     axes = []
     log_weights_1d = []
     for j in range(m):
-        lo = center[j] - spec.box_stds * stds[j]
-        hi = center[j] + spec.box_stds * stds[j]
+        lo = center[j] - _BOX_STDS * stds[j]
+        hi = center[j] + _BOX_STDS * stds[j]
         nodes = np.linspace(lo, hi, spec.nodes_per_dim)
         h = nodes[1] - nodes[0]
         w = np.full(spec.nodes_per_dim, h)

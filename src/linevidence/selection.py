@@ -63,7 +63,7 @@ def log_bayes_factor(a: ModelScore, b: ModelScore) -> float:
     return a.log_evidence - b.log_evidence
 
 
-def bma_weights(scores: Sequence[ModelScore], log_prior_weights=None) -> np.ndarray:
+def bma_weights(scores: Sequence[ModelScore]) -> np.ndarray:
     """Normalized posterior model weights from log scores.
 
     Computed by ``scipy.special.softmax``, which subtracts the maximum, so a
@@ -77,11 +77,6 @@ def bma_weights(scores: Sequence[ModelScore], log_prior_weights=None) -> np.ndar
     if len(kinds) > 1:
         raise MixedKinds(f"scores mix kinds {sorted(kinds)}")
     logs = np.array([s.log_evidence for s in scores], dtype=float)
-    if log_prior_weights is not None:
-        lpw = np.asarray(log_prior_weights, dtype=float)
-        if lpw.shape != logs.shape:
-            raise DimensionMismatch("log_prior_weights must match the number of scores")
-        logs = logs + lpw
     if np.max(logs) == -math.inf:
         raise AllDegenerate("all scores are -inf")
     return scipy.special.softmax(logs)
@@ -98,8 +93,7 @@ class OptimizerConfig:
     """
 
     bounds: Mapping[str, tuple[float, float]]
-    grid_points: int | Sequence[int] = 21
-    local_refine: bool = True
+    grid_points: int = 21
     max_evals: int = 2000
     tolerance: float = 1e-6
     ordering: tuple[tuple[str, str], ...] = ()
@@ -111,9 +105,8 @@ class OptimizerConfig:
             _check_param_name(name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds for {name!r} must be finite with lo < hi")
-        counts = self.grid_counts()
-        if any(k < 2 for k in counts):
-            raise ValueError("grid_points must be at least 2 per dimension")
+        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
+            raise ValueError("grid_points must be an integer of at least 2")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive")
         if self.max_evals < 1:
@@ -121,14 +114,6 @@ class OptimizerConfig:
         for lo_name, hi_name in self.ordering:
             if lo_name not in self.bounds or hi_name not in self.bounds:
                 raise ValueError("ordering names must appear in bounds")
-
-    def grid_counts(self) -> list[int]:
-        if isinstance(self.grid_points, (int, np.integer)):
-            return [int(self.grid_points)] * len(self.bounds)
-        counts = [int(k) for k in self.grid_points]
-        if len(counts) != len(self.bounds):
-            raise ValueError("grid_points sequence must match the number of bounds")
-        return counts
 
 
 def _check_param_name(name: str) -> None:
@@ -161,7 +146,6 @@ def assemble_hyperparams(
         alpha = np.full(k, np.nan)
     sigma_e2 = fixed.sigma_e2 if fixed is not None else None
     prior_scale = fixed.prior_scale if fixed is not None else None
-    prior_mean = fixed.prior_mean if fixed is not None else None
     for name, value in zip(names, values):
         _check_param_name(name)
         value = float(value)
@@ -181,9 +165,7 @@ def assemble_hyperparams(
         raise ValueError(f"parameters {missing} are neither fixed nor free")
     if sigma_e2 is None:
         raise ValueError("sigma_e2 must be supplied either fixed or free")
-    return HyperParams(
-        alpha=alpha, sigma_e2=sigma_e2, prior_scale=prior_scale, prior_mean=prior_mean
-    )
+    return HyperParams(alpha=alpha, sigma_e2=sigma_e2, prior_scale=prior_scale)
 
 
 def evaluate_objective(
@@ -200,9 +182,7 @@ def evaluate_objective(
             ).log_value
         if params.prior_scale is None:
             raise ValueError("log_marginal objective requires prior_scale")
-        prior = gaussian_prior.isotropic_prior(
-            design.m, params.prior_scale, params.prior_mean or 0.0
-        )
+        prior = gaussian_prior.isotropic_prior(design.m, params.prior_scale)
         return gaussian_prior.log_marginal_likelihood(
             dataset.outputs, design, params.sigma_e2, prior
         ).log_value
@@ -250,10 +230,10 @@ def empirical_bayes_optimize(
 
     The coarse stage sweeps a lexicographically ordered tensor grid over the
     bound boxes, skipping infeasible points (ordering violations, nonpositive
-    variances); ties keep the lexicographically smallest point.  When
-    ``local_refine`` is set, a Nelder-Mead polish starts from the best grid
-    point within the same bounds.  Every evaluated point is recorded in the
-    returned trace, so reruns are byte-for-byte reproducible.
+    variances); ties keep the lexicographically smallest point.  Unless every
+    grid point is degenerate, a Nelder-Mead polish then starts from the best
+    grid point within the same bounds.  Every evaluated point is recorded in
+    the returned trace, so reruns are byte-for-byte reproducible.
 
     Returns ``(best_params, best_value, trace)``.
     """
@@ -263,10 +243,7 @@ def empirical_bayes_optimize(
         if fixed is None or fixed.prior_scale is None:
             raise ValueError("log_marginal objective requires sigma_p2 fixed or free")
     names = list(config.bounds)
-    axes = [
-        np.linspace(lo, hi, k)
-        for (lo, hi), k in zip(config.bounds.values(), config.grid_counts())
-    ]
+    axes = [np.linspace(lo, hi, config.grid_points) for lo, hi in config.bounds.values()]
     trace: list[tuple[dict, float]] = []
     best_value = -math.inf
     best_vec: np.ndarray | None = None
@@ -289,7 +266,7 @@ def empirical_bayes_optimize(
     if not feasible_seen:
         raise EmptyFeasibleGrid("constraints exclude every grid point")
 
-    if config.local_refine and math.isfinite(best_value):
+    if math.isfinite(best_value):
 
         def negated(vec: np.ndarray) -> float:
             if not _feasible(names, vec, config):

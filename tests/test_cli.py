@@ -1,12 +1,15 @@
 """End-to-end checks of the experiment drivers, run in process."""
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linevidence
 from linevidence import DegenerateFitWarning, improper_prior
 from linevidence.cli import main
 
@@ -150,6 +153,7 @@ class TestUsageErrors:
             ["example2", "--runs", "0", "--seed", "1"],
             ["example2", "--runs", "2", "--seed", "1", "--jobs", "0"],
             ["table2", "--format", "xml"],
+            ["example2", "--runs", "1", "--seed", "1"],
         ],
     )
     def test_exit_code_2(self, argv, tmp_path):
@@ -161,11 +165,17 @@ class TestUsageErrors:
 
 
 def test_module_entry_point(tmp_path):
+    # the child process must import the same package as this test, which
+    # pytest may have put on sys.path without exporting PYTHONPATH
+    src = str(Path(linevidence.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "linevidence", "table2", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "table2.csv").exists()

@@ -9,7 +9,6 @@ from linevidence import (
     BasisFamily,
     Dataset,
     DegenerateDof,
-    DesignMatrix,
     DimensionMismatch,
     GaussianBelief,
     HyperParams,
@@ -19,7 +18,6 @@ from linevidence import (
     flat_posterior_coefficients,
     log_likelihood,
     ml_estimate,
-    ml_sampling_distribution,
     resampling_estimator_stats,
     residual_dof,
 )
@@ -78,9 +76,6 @@ class TestHyperParams:
             HyperParams(alpha=[0.0], sigma_e2=0.0)
         with pytest.raises(ValueError):
             HyperParams(alpha=[0.0], sigma_e2=1.0, prior_scale=-1.0)
-        with pytest.raises(ValueError):
-            # a prior mean is meaningless without a prior scale
-            HyperParams(alpha=[0.0], sigma_e2=1.0, prior_mean=2.0)
 
 
 class TestGaussianBelief:
@@ -254,32 +249,19 @@ class TestMlEstimate:
 
 
 class TestSamplingDistribution:
-    def test_identity_design(self):
-        design = DesignMatrix(phi=np.eye(3), gram=np.eye(3), chol=np.eye(3))
-        belief = ml_sampling_distribution(np.array([1.0, 2.0, 3.0]), design, 1.0)
-        np.testing.assert_array_equal(belief.cov, np.eye(3))
-        np.testing.assert_array_equal(belief.mean, [1.0, 2.0, 3.0])
-
-    def test_ones_design_scalar_variance(self):
-        ds = Dataset(inputs=np.zeros((5, 1)), outputs=np.zeros(5))
-        design = build_design_matrix(ds, BasisFamily("constant", 1), [])
-        belief = ml_sampling_distribution(np.array([0.0]), design, 3.0)
-        assert belief.cov[0, 0] == pytest.approx(3.0 / 5.0, rel=1e-14)
-
     def test_matches_resampling_oracle(self):
         x = np.linspace(-1, 1, 6)
         ds = Dataset(inputs=x[:, None], outputs=np.zeros(6))
         design = build_design_matrix(ds, BasisFamily("polynomial", 2), [])
         theta_true = np.array([0.8, -0.3])
-        belief = ml_sampling_distribution(theta_true, design, 0.5)
+        # least squares under y = Phi theta_true + e: cov sigma_e2 (Phi^T Phi)^{-1}
+        cov = 0.5 * np.linalg.inv(design.phi.T @ design.phi)
         stats_out = resampling_estimator_stats(design, theta_true, 0.5, 20_000, seed=77)
         reps = stats_out.n_reps
         for i in range(2):
             for j in range(2):
-                want = belief.cov[i, j]
-                se = math.sqrt(
-                    (belief.cov[i, i] * belief.cov[j, j] + want**2) / (reps - 1)
-                )
+                want = cov[i, j]
+                se = math.sqrt((cov[i, i] * cov[j, j] + want**2) / (reps - 1))
                 assert abs(stats_out.theta_cov[i, j] - want) < 3 * se
 
 

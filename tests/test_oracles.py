@@ -35,19 +35,11 @@ class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.nodes_per_dim == 801
-        assert spec.box_stds == 12.0
-
-    def test_refined_doubles_resolution(self):
-        assert QuadratureSpec(nodes_per_dim=401).refined().nodes_per_dim == 803
 
     @pytest.mark.parametrize("nodes", [2, 800, 1])
     def test_rejects_even_or_tiny_node_counts(self, nodes):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_dim=nodes)
-
-    def test_rejects_narrow_box(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(box_stds=5.0)
 
 
 class TestQuadratureArea:
@@ -110,9 +102,8 @@ class TestQuadratureArea:
         design = poly_design(n, m)
         y = rng.normal(size=n)
         sigma2 = float(rng.uniform(0.3, 2.0))
-        spec = QuadratureSpec()
-        coarse = quadrature_log_area(y, design, sigma2, spec)
-        fine = quadrature_log_area(y, design, sigma2, spec.refined())
+        coarse = quadrature_log_area(y, design, sigma2, QuadratureSpec())
+        fine = quadrature_log_area(y, design, sigma2, QuadratureSpec(nodes_per_dim=1603))
         assert abs(fine - coarse) < 1e-7
 
     def test_three_dims_rejected(self):

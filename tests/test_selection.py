@@ -121,17 +121,6 @@ class TestBmaWeights:
         with pytest.raises(MixedKinds):
             bma_weights([proper("a", 0.0), ModelScore("b", 0.0, "fake")])
 
-    def test_prior_weights_tilt(self):
-        w = bma_weights(
-            [proper("a", -1.0), proper("b", -1.0)],
-            log_prior_weights=[math.log(2.0), 0.0],
-        )
-        np.testing.assert_allclose(w, [2 / 3, 1 / 3], rtol=1e-12)
-
-    def test_prior_weights_length_checked(self):
-        with pytest.raises(DimensionMismatch):
-            bma_weights([proper("a", 0.0)], log_prior_weights=[0.0, 0.0])
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bma_weights([])
@@ -140,7 +129,7 @@ class TestBmaWeights:
 class TestOptimizerConfig:
     def test_defaults_accepted(self):
         cfg = OptimizerConfig(bounds={"alpha0": (-1.0, 1.0)})
-        assert cfg.grid_counts() == [21]
+        assert cfg.grid_points == 21
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -247,15 +236,28 @@ class TestEmpiricalBayesOptimize:
         assert first[2] == second[2]
 
     def test_trace_records_every_grid_point(self):
-        config = OptimizerConfig(
-            bounds={"sigma_e2": (0.5, 20.0)}, grid_points=16, local_refine=False
-        )
+        config = OptimizerConfig(bounds={"sigma_e2": (0.5, 20.0)}, grid_points=16)
         fixed = HyperParams(alpha=[], sigma_e2=1.0)
         _, _, trace = empirical_bayes_optimize(
             TWO_POINT, CONSTANT, "log_area", config, fixed=fixed
         )
-        assert len(trace) == 16
-        assert [t[0]["sigma_e2"] for t in trace] == list(np.linspace(0.5, 20.0, 16))
+        # the grid comes first in the trace, then the refine stage
+        assert [t[0]["sigma_e2"] for t in trace[:16]] == list(np.linspace(0.5, 20.0, 16))
+
+    def test_refine_skips_nonpositive_variances(self):
+        # the box straddles zero: the grid drops -1 and 0, and the refine
+        # stage must never score a nonpositive variance either
+        config = OptimizerConfig(
+            bounds={"sigma_e2": (-1.0, 5.0)}, grid_points=7, tolerance=1e-6
+        )
+        fixed = HyperParams(alpha=[], sigma_e2=1.0)
+        best, _, trace = empirical_bayes_optimize(
+            TWO_POINT, CONSTANT, "log_area", config, fixed=fixed
+        )
+        assert [t[0]["sigma_e2"] for t in trace[:5]] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert all(t[0]["sigma_e2"] > 0 for t in trace)
+        # the area maximizer, 8, lies outside the box
+        assert best.sigma_e2 == 5.0
 
     def test_matches_unbiased_noise_variance(self):
         rng = np.random.default_rng(21)
@@ -278,13 +280,14 @@ class TestEmpiricalBayesOptimize:
         config = OptimizerConfig(
             bounds={"alpha0": (-1.0, 1.0), "alpha1": (-1.0, 1.0)},
             grid_points=3,
-            local_refine=False,
             ordering=(("alpha0", "alpha1"),),
         )
         fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
         _, _, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
         # of the 9 grid points only the strictly increasing pairs survive
-        assert len(trace) == 3
+        grid = [(-1.0, 0.0), (-1.0, 1.0), (0.0, 1.0)]
+        assert [(p["alpha0"], p["alpha1"]) for p, _ in trace[:3]] == grid
+        # the refine stage keeps the ordering too
         for params, _ in trace:
             assert params["alpha0"] < params["alpha1"]
 
@@ -305,9 +308,7 @@ class TestEmpiricalBayesOptimize:
         # center, so -1 and +1 score bitwise equal; the sweep keeps -1
         ds = Dataset(inputs=[[0.0], [0.0]], outputs=[1.0, 2.0])
         family = BasisFamily("gaussian-rbf", 1, width=1.0)
-        config = OptimizerConfig(
-            bounds={"alpha0": (-1.0, 1.0)}, grid_points=2, local_refine=False
-        )
+        config = OptimizerConfig(bounds={"alpha0": (-1.0, 1.0)}, grid_points=2)
         fixed = HyperParams(alpha=[0.0], sigma_e2=0.5)
         best, _, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
         assert trace[0][1] == trace[1][1]
