@@ -48,7 +48,6 @@ from .gaussian_prior import (
     diffuse_limit_decomposition,
     isotropic_prior,
     log_marginal_likelihood,
-    output_covariance,
     penalty_crossing_scale,
     posterior_coefficients,
     predict_at,
@@ -74,6 +73,7 @@ from .oracles import (
     QuadratureSpec,
     ResamplingStats,
     monte_carlo_log_marginal,
+    output_covariance,
     quadrature_log_area,
     resampling_estimator_stats,
 )

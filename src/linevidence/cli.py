@@ -317,7 +317,7 @@ def _verify_checks(seed: int) -> list[dict]:
             gaussian_prior.posterior_coefficients(
                 y_vec, design, float(rng.uniform(0.3, 2.0)), prior
             )
-        return True, "M x M and N x N posterior routes agree"
+        return True, "augmented-QR and M x M Cholesky posterior routes agree"
 
     def check_smoothing():
         for _ in range(10):

@@ -1,17 +1,30 @@
 """Inference under a proper Gaussian coefficient prior.
 
-With theta ~ N(mu_p, Sigma_theta) the marginal likelihood is the proper
-Gaussian evidence
+With theta ~ N(mu_p, Sigma_theta) and Sigma_theta = L L^T the marginal
+likelihood is the proper Gaussian evidence
 
-    Z = N(y | Phi mu_p, Phi Sigma_theta Phi^T + sigma_e2 I),
+    Z = N(y | Phi mu_p, Phi Sigma_theta Phi^T + sigma_e2 I).
 
-and the posterior over theta has two algebraically equivalent closed forms:
-an M x M system in coefficient space and an N x N system in data space.  Both
-are always computed and cross-checked; collapsing the pair into one route
-would hide exactly the numerical failures the check exists to catch.
+No N x N matrix is formed.  Every score and posterior comes from the ridge
+solution beta, the minimizer of ||y~ - Phi beta||^2 + sigma_e2 beta^T
+Sigma_theta^{-1} beta with y~ = y - Phi mu_p, through the M x M posterior
+precision A = Phi^T Phi + sigma_e2 Sigma_theta^{-1} and the matrix
+determinant lemma (Rasmussen & Williams, GPML, App. A.3):
 
-Every data-space computation factors the output covariance through
-``_output_cholesky``, the one place that factorization is done and checked.
+    log det(Phi Sigma_theta Phi^T + sigma_e2 I)
+        = (N - M) log sigma_e2 + log det Sigma_theta + log det A
+    y~^T (Phi Sigma_theta Phi^T + sigma_e2 I)^{-1} y~
+        = (||y~ - Phi beta||^2 + sigma_e2 beta^T Sigma_theta^{-1} beta) / sigma_e2
+
+and the posterior is N(mu_p + beta, sigma_e2 A^{-1}).  ``_ridge_fit`` computes
+all of this by two O(N M^2) routes: a thin QR of the augmented design
+``[Phi; sigma_e L^{-1}] = Q R`` (so A = R^T R without squaring the condition
+number of Phi), and the Cholesky factor of A itself.  Both are always
+computed and cross-checked with a tolerance tied to cond(A); collapsing the
+pair into one route would hide exactly the numerical failures the check
+exists to catch.  The QR values are returned.  Both routes take the
+quadratic form from the residual, never as ``y~^T y~ - b^T A^{-1} b``, which
+cancels most of its digits when y is large against the residual.
 
 The diffuse-limit ladder evaluates log Z along an increasing sequence of
 isotropic prior scales and splits -log Z into the Woodbury-reduced fitting
@@ -40,6 +53,8 @@ from .model import (
     feature_vector,
 )
 
+_EPS = float(np.finfo(float).eps)
+_QR_BLOCK_ROWS = 256
 _DUAL_ROUTE_RTOL = 1e-10
 _LADDER_RTOL = 1e-8
 
@@ -69,76 +84,150 @@ def _route_rtol(baseline: float, cond_bound: float) -> float:
     # no backward-stable solve with a matrix of condition number cond_bound
     # can beat eps * cond_bound, so widen the agreement tolerance with
     # conditioning but never below the baseline
-    return max(baseline, 32.0 * float(np.finfo(float).eps) * cond_bound)
+    return max(baseline, 32.0 * _EPS * cond_bound)
 
 
-def _output_cond_bound(design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> float:
-    # Phi Sigma Phi^T + sigma_e2 I has its eigenvalues in
-    # [sigma_e2, sigma_e2 + trace(Sigma Phi^T Phi)]
-    return 1.0 + float(np.trace(prior.cov @ design.gram)) / sigma_e2
+def _triangular_factor(matrix: np.ndarray) -> np.ndarray:
+    """R of the thin QR of a tall ``matrix``, factored in blocks of rows.
 
-
-def output_covariance(design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> np.ndarray:
-    """Marginal covariance of y: ``Phi Sigma_theta Phi^T + sigma_e2 I``."""
-    _check_noise_var(sigma_e2)
-    _check_prior(design, prior)
-    cov = design.phi @ prior.cov @ design.phi.T + sigma_e2 * np.eye(design.n)
-    return 0.5 * (cov + cov.T)
-
-
-def _output_cholesky(design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> np.ndarray:
-    """Lower Cholesky factor of :func:`output_covariance`.
-
-    This is the only N x N factorization in the module.  A factorization
-    that fails raises :class:`ConsistencyError`, never numpy's LinAlgError.
+    Each block of ``_QR_BLOCK_ROWS`` rows is factored in one stacked call,
+    and the stacked R factors, with the leftover rows, are factored again
+    (TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34,
+    2012).  The result is the Householder R up to the signs of its rows.
+    Each LAPACK call stays small.  With two OpenBLAS threads on a 2-core
+    Xeon, one QR of a 2008 x 9 matrix took 4-10 ms inside a scoring call,
+    mostly handing level-2 BLAS work between threads; the blocked form took
+    0.15 ms.
     """
+    rows, cols = matrix.shape
+    block = max(_QR_BLOCK_ROWS, cols)
+    whole = rows - rows % block
+    if whole <= block:
+        return np.linalg.qr(matrix, mode="r")
+    tops = np.linalg.qr(matrix[:whole].reshape(-1, block, cols), mode="r")
+    return np.linalg.qr(np.vstack([tops.reshape(-1, cols), matrix[whole:]]), mode="r")
+
+
+def _qr_route(
+    design: DesignMatrix, shifted: np.ndarray, sigma_e2: float, prior_inv_chol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """beta, posterior covariance, log det A and the singular values of R.
+
+    R is the triangular factor of the QR of ``[Phi; sigma_e L^{-1}]``, so
+    A = R^T R.  The augmented design is bordered by the column [y~; 0], so
+    the last column of the triangular factor holds Q^T y~: the Householder
+    reflectors applied to y~, not the semi-normal equations R^{-T} Phi^T y~.
+    Q itself is never formed; on a gaussian-rbf design at N = 2000 forming
+    it took ten times as long as the factorization.
+    """
+    m = design.m
+    bordered = np.block(
+        [
+            [design.phi, shifted[:, None]],
+            [math.sqrt(sigma_e2) * prior_inv_chol, np.zeros((m, 1))],
+        ]
+    )
+    r_full = _triangular_factor(bordered)
+    r = r_full[:m, :m]
+    beta = scipy.linalg.solve_triangular(r, r_full[:m, m])
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(m))
+    cov = sigma_e2 * (r_inv @ r_inv.T)
+    log_det_a = 2.0 * float(np.sum(np.log(np.abs(np.diag(r)))))
+    return beta, 0.5 * (cov + cov.T), log_det_a, np.linalg.svd(r, compute_uv=False)
+
+
+def _cholesky_route(
+    design: DesignMatrix, shifted: np.ndarray, sigma_e2: float, prior_inv_chol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """beta, posterior covariance and log det A from the Cholesky factor of A."""
+    a = design.gram + sigma_e2 * (prior_inv_chol.T @ prior_inv_chol)
     try:
-        return np.linalg.cholesky(output_covariance(design, sigma_e2, prior))
+        a_chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise ConsistencyError("output covariance lost positive definiteness") from exc
+        raise SingularPrior("posterior precision is not positive definite") from exc
+    beta = scipy.linalg.cho_solve((a_chol, True), design.phi.T @ shifted)
+    cov = sigma_e2 * scipy.linalg.cho_solve((a_chol, True), np.eye(design.m))
+    log_det_a = 2.0 * float(np.sum(np.log(np.diag(a_chol))))
+    return beta, 0.5 * (cov + cov.T), log_det_a
 
 
-def posterior_coefficients(
-    y, design: DesignMatrix, sigma_e2: float, prior: GaussianBelief
-) -> GaussianBelief:
-    """Gaussian-prior posterior over theta, computed by both closed forms.
+class _RidgeFit(NamedTuple):
+    mean: np.ndarray  # posterior mean mu_p + beta
+    cov: np.ndarray  # posterior covariance sigma_e2 A^{-1}
+    fitting: float  # half the Mahalanobis norm of y - Phi mu_p
+    penalty: float  # half the log determinant of the output covariance
+    cond: float  # condition number of the posterior precision A
 
-    Route 1 solves the M x M system ``(Phi^T Phi + sigma_e2 Sigma^{-1})``;
-    route 2 solves the N x N system through the output covariance.  They must
-    agree to 1e-10 in relative norm or :class:`ConsistencyError` is raised.
-    The M x M result is returned (M <= N always holds here).
+
+def _ridge_fit(y, design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> _RidgeFit:
+    """The one checked Gaussian-prior factorization, O(N M^2) in time and memory.
+
+    Runs :func:`_qr_route` and :func:`_cholesky_route` and returns the QR
+    values.  The routes must agree on log Z to
+    ``32 eps (cond(A) (|fitting| + |penalty|) + ||y~|| ||y~ - Phi beta|| / sigma_e2)``
+    (the second term is the rounding of a residual taken from a large y),
+    on the posterior covariance to ``rtol = max(1e-10, 32 eps cond(A))`` in
+    relative norm, and on the posterior mean to ``rtol (||mean|| + ||y~|| /
+    ||R||)``, where the second term is the rounding of y~ carried into beta,
+    so a mean that is zero in exact arithmetic is still checked; otherwise
+    :class:`ConsistencyError` is raised.  A posterior precision that is not
+    positive definite raises :class:`SingularPrior`; numpy's LinAlgError
+    never escapes.
     """
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
     _check_prior(design, prior)
     prior_chol = _checked_cholesky(prior.cov, SingularPrior, "prior covariance")
+    n, m = design.n, design.m
+    prior_inv_chol = scipy.linalg.solve_triangular(prior_chol, np.eye(m), lower=True)
     shifted = y - design.phi @ prior.mean
+    log_det_rest = (n - m) * math.log(sigma_e2) + 2.0 * float(np.sum(np.log(np.diag(prior_chol))))
 
-    # M x M route
-    prior_inv = scipy.linalg.cho_solve((prior_chol, True), np.eye(design.m))
-    a = design.gram + sigma_e2 * prior_inv
-    a = 0.5 * (a + a.T)
-    try:
-        a_chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPrior("posterior precision is not positive definite") from exc
-    mean_mm = prior.mean + scipy.linalg.cho_solve((a_chol, True), design.phi.T @ shifted)
-    cov_mm = sigma_e2 * scipy.linalg.cho_solve((a_chol, True), np.eye(design.m))
-    cov_mm = 0.5 * (cov_mm + cov_mm.T)
+    def terms(beta: np.ndarray, log_det_a: float) -> tuple[float, float, np.ndarray]:
+        resid = shifted - design.phi @ beta
+        shrink = prior_inv_chol @ beta
+        fitting = (float(resid @ resid) + sigma_e2 * float(shrink @ shrink)) / (2.0 * sigma_e2)
+        return fitting, 0.5 * (log_det_rest + log_det_a), resid
 
-    # N x N route
-    s_chol = _output_cholesky(design, sigma_e2, prior)
-    gain = prior.cov @ design.phi.T  # M x N
-    mean_nn = prior.mean + gain @ scipy.linalg.cho_solve((s_chol, True), shifted)
-    cov_nn = prior.cov - gain @ scipy.linalg.cho_solve((s_chol, True), gain.T)
-    cov_nn = 0.5 * (cov_nn + cov_nn.T)
+    # the Cholesky route runs first: it is the one that fails outright when
+    # A is singular to working precision
+    beta_ch, cov_ch, log_det_ch = _cholesky_route(design, shifted, sigma_e2, prior_inv_chol)
+    beta, cov, log_det_a, singular = _qr_route(design, shifted, sigma_e2, prior_inv_chol)
+    cond_a = float(singular[0] / singular[-1]) ** 2
+    fitting, penalty, resid = terms(beta, log_det_a)
+    fitting_ch, penalty_ch, _ = terms(beta_ch, log_det_ch)
 
-    rtol = _route_rtol(_DUAL_ROUTE_RTOL, _output_cond_bound(design, sigma_e2, prior))
-    if _rel_gap(mean_mm, mean_nn) > rtol:
+    z_tol = 32.0 * _EPS * (
+        cond_a * (abs(fitting) + abs(penalty))
+        + float(np.linalg.norm(shifted)) * float(np.linalg.norm(resid)) / sigma_e2
+    )
+    if not abs((fitting + penalty) - (fitting_ch + penalty_ch)) <= z_tol:
+        raise ConsistencyError("log evidence routes disagree beyond tolerance")
+    rtol = _route_rtol(_DUAL_ROUTE_RTOL, cond_a)
+    mean, mean_ch = prior.mean + beta, prior.mean + beta_ch
+    mean_scale = max(np.linalg.norm(mean), np.linalg.norm(mean_ch)) + float(
+        np.linalg.norm(shifted) / singular[0]
+    )
+    if not np.linalg.norm(mean - mean_ch) <= rtol * mean_scale:
         raise ConsistencyError("posterior mean routes disagree beyond tolerance")
-    if _rel_gap(cov_mm, cov_nn) > rtol:
+    if not _rel_gap(cov, cov_ch) <= rtol:
         raise ConsistencyError("posterior covariance routes disagree beyond tolerance")
-    return GaussianBelief(mean=mean_mm, cov=cov_mm)
+    return _RidgeFit(mean, cov, fitting, penalty, cond_a)
+
+
+def posterior_coefficients(
+    y, design: DesignMatrix, sigma_e2: float, prior: GaussianBelief
+) -> GaussianBelief:
+    """Gaussian-prior posterior over theta, N(mu_p + beta, sigma_e2 A^{-1}).
+
+    Computed by both routes of the module: the thin QR of the augmented
+    design ``[Phi; sigma_e L^{-1}]`` and the Cholesky factor of
+    ``A = Phi^T Phi + sigma_e2 Sigma^{-1}``.  They must agree within a
+    tolerance of ``max(1e-10, 32 eps cond(A))`` relative (see ``_ridge_fit``)
+    or :class:`ConsistencyError` is raised.  The QR result is returned.
+    """
+    fit = _ridge_fit(y, design, sigma_e2, prior)
+    return GaussianBelief(mean=fit.mean, cov=fit.cov)
 
 
 def predict_at(
@@ -156,11 +245,13 @@ def predict_at(
     ``posterior`` may come from either prior: the Gaussian-prior
     :func:`posterior_coefficients` or the flat-prior one.  The variance is
     phi(x)^T Sigma phi(x), with tiny negative round-off clamped to zero.
-    When ``design``, ``sigma_e2`` and ``prior`` are supplied, the variance is
-    additionally recomputed through the data-space (Woodbury) form
-    ``phi^T Sigma phi - phi^T Sigma Phi^T (Phi Sigma Phi^T + sigma_e2 I)^{-1}
-    Phi Sigma phi`` and the two values must agree to 1e-10.  Supplying only
-    some of the three raises ValueError.
+    When ``design``, ``sigma_e2`` and ``prior`` are supplied, the posterior
+    covariance is additionally recomputed from them by both routes of the
+    module (the augmented QR and the M x M Cholesky of the posterior
+    precision A, cross-checked as in :func:`posterior_coefficients`), and
+    the variance ``sigma_e2 phi^T A^{-1} phi`` must agree with the one from
+    ``posterior`` to ``max(1e-10, 32 eps cond(A))``.  Supplying only some of
+    the three raises ValueError.
     """
     supplied = sum(arg is not None for arg in (design, sigma_e2, prior))
     if supplied not in (0, 3):
@@ -173,14 +264,12 @@ def predict_at(
     mean = float(row @ posterior.mean)
     var = float(row @ posterior.cov @ row)
     if supplied:
-        s_chol = _output_cholesky(design, sigma_e2, prior)
-        v = design.phi @ (prior.cov @ row)
-        var_ww = float(row @ prior.cov @ row) - float(
-            v @ scipy.linalg.cho_solve((s_chol, True), v)
-        )
-        denom = max(abs(var), abs(var_ww), 1e-300)
-        rtol = _route_rtol(_DUAL_ROUTE_RTOL, _output_cond_bound(design, sigma_e2, prior))
-        if abs(var - var_ww) > rtol * max(denom, 1.0):
+        # the posterior covariance does not depend on y, so factor at y = Phi mu_p
+        _check_prior(design, prior)
+        fit = _ridge_fit(design.phi @ prior.mean, design, sigma_e2, prior)
+        var_fit = float(row @ fit.cov @ row)
+        denom = max(abs(var), abs(var_fit), 1e-300)
+        if abs(var - var_fit) > _route_rtol(_DUAL_ROUTE_RTOL, fit.cond) * max(denom, 1.0):
             raise ConsistencyError("predictive variance routes disagree beyond tolerance")
     return mean, max(var, 0.0)
 
@@ -192,20 +281,13 @@ def log_marginal_likelihood(
 
     Term split: fitting is half the Mahalanobis norm of ``y - Phi mu_p``,
     penalty is half the log determinant of the output covariance, constant is
-    ``N/2 log(2 pi)``.
+    ``N/2 log(2 pi)``.  Both come from the determinant lemma on the M x M
+    posterior precision, cross-checked between the augmented-QR and the
+    Cholesky route (see the module docstring); no N x N matrix is formed.
     """
-    y = _check_outputs(y, design)
-    _check_noise_var(sigma_e2)
-    _check_prior(design, prior)
-    # reject singular priors before building Sigma_yy
-    _checked_cholesky(prior.cov, SingularPrior, "prior covariance")
-    s_chol = _output_cholesky(design, sigma_e2, prior)
-    shifted = y - design.phi @ prior.mean
-    white = scipy.linalg.solve_triangular(s_chol, shifted, lower=True)
-    fitting = 0.5 * float(white @ white)
-    penalty = float(np.sum(np.log(np.diag(s_chol))))
+    fit = _ridge_fit(y, design, sigma_e2, prior)
     constant = 0.5 * design.n * math.log(2.0 * math.pi)
-    return EvidenceReport.from_terms(fitting, penalty, constant)
+    return EvidenceReport.from_terms(fit.fitting, fit.penalty, constant)
 
 
 class LadderPoint(NamedTuple):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.special
 
 from .exceptions import DegenerateDof, DimensionMismatch, DimensionTooLarge
-from .model import DesignMatrix, GaussianBelief
+from .model import DesignMatrix, GaussianBelief, _check_noise_var
 
 _CHUNK = 65536
 # half-width of the quadrature box in marginal posterior standard deviations
@@ -102,6 +102,19 @@ def quadrature_log_area(
         )
         parts.append(scipy.special.logsumexp(logf + logw))
     return float(scipy.special.logsumexp(parts))
+
+
+def output_covariance(design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> np.ndarray:
+    """Marginal covariance of y, ``Phi Sigma_theta Phi^T + sigma_e2 I``, formed densely.
+
+    A reference only: the package scores the Gaussian prior through the
+    M x M posterior precision and never forms this N x N matrix.
+    """
+    _check_noise_var(sigma_e2)
+    if prior.dim != design.m:
+        raise DimensionMismatch("prior dimension must match the design columns")
+    cov = design.phi @ prior.cov @ design.phi.T + sigma_e2 * np.eye(design.n)
+    return 0.5 * (cov + cov.T)
 
 
 def monte_carlo_log_marginal(

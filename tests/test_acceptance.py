@@ -31,7 +31,6 @@ from linevidence import (
     penalty_crossing_scale,
     quadrature_log_area,
     resampling_estimator_stats,
-    unbiased_noise_variance,
 )
 from linevidence.cli import (
     _EX2_ALPHA,

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from linevidence import cli, gaussian_prior
 from linevidence import (
     BasisFamily,
     ConsistencyError,
     Dataset,
     DesignMatrix,
     GaussianBelief,
+    HyperParams,
+    OptimizerConfig,
     SingularPrior,
     build_design_matrix,
     diffuse_limit_decomposition,
+    empirical_bayes_optimize,
+    evaluate_objective,
     flat_posterior_coefficients,
     isotropic_prior,
     log_area_under_likelihood,
@@ -23,7 +28,6 @@ from linevidence import (
     penalty_crossing_scale,
     posterior_coefficients,
     predict_at,
-    smooth,
 )
 
 TWO_POINT = Dataset(inputs=[[-1.0], [1.0]], outputs=[-2.0, 2.0])
@@ -90,7 +94,7 @@ class TestPosteriorCoefficients:
             design = poly_design(n, m)
             y = rng.normal(size=n)
             prior = isotropic_prior(m, float(rng.uniform(0.1, 10.0)), float(rng.normal()))
-            # the internal M x M vs N x N comparison raises on disagreement
+            # the internal augmented-QR vs M x M Cholesky comparison raises on disagreement
             posterior_coefficients(y, design, float(rng.uniform(0.2, 3.0)), prior)
 
     def test_singular_prior_rejected(self):
@@ -109,26 +113,76 @@ class TestPosteriorCoefficients:
         assert excinfo.value.__cause__ is None
 
 
-class TestOutputCovarianceFailure:
-    # sigma_e2 = 1e-300 makes the output covariance [[1, 1], [1, 1]] to
-    # working precision, so its factorization fails at the second pivot
-    @pytest.mark.parametrize(
-        "score",
-        [
-            lambda y, design, prior: log_marginal_likelihood(y, design, 1e-300, prior),
-            lambda y, design, prior: posterior_coefficients(y, design, 1e-300, prior),
-            lambda y, design, prior: predict_at(
-                0.0, BasisFamily("constant", 1), [], prior,
-                design=design, sigma_e2=1e-300, prior=prior,
-            ),
-            lambda y, design, prior: diffuse_limit_decomposition(y, design, 1e-300, [1.0]),
-        ],
-        ids=["log_marginal", "posterior", "predict_at", "ladder"],
-    )
-    def test_raises_consistency_error(self, score):
+def _entry_points(y, design, sigma_e2, prior, posterior):
+    """Each Gaussian-prior entry point on one problem, as a zero-argument call."""
+    return {
+        "log_marginal": lambda: log_marginal_likelihood(y, design, sigma_e2, prior),
+        "posterior": lambda: posterior_coefficients(y, design, sigma_e2, prior),
+        "predict_at": lambda: predict_at(
+            0.3, BasisFamily("polynomial", design.m), [], posterior,
+            design=design, sigma_e2=sigma_e2, prior=prior,
+        ),
+        "ladder": lambda: diffuse_limit_decomposition(
+            y, design, sigma_e2, [float(prior.cov[0, 0])], prior_mean=float(prior.mean[0])
+        ),
+    }
+
+
+ENTRY_POINTS = ["log_marginal", "posterior", "predict_at", "ladder"]
+
+
+class TestRouteCheck:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("corrupt", ["beta", "cov", "log_det"])
+    def test_route_disagreement_raises(self, monkeypatch, entry, corrupt):
+        original = gaussian_prior._cholesky_route
+
+        def corrupted(*args):
+            beta, cov, log_det_a = original(*args)
+            if corrupt == "beta":
+                return beta + 1e-3 * (1.0 + np.abs(beta)), cov, log_det_a
+            if corrupt == "cov":
+                return beta, cov * (1.0 + 1e-3), log_det_a
+            return beta, cov, log_det_a + 1e-3
+
+        design = poly_design(6, 2)
+        y = np.array([0.3, -1.2, 0.4, 2.0, -0.7, 1.1])
+        prior = isotropic_prior(2, 2.0, 0.1)
+        posterior = posterior_coefficients(y, design, 0.8, prior)
+        call = _entry_points(y, design, 0.8, prior, posterior)[entry]
+        call()
+        monkeypatch.setattr(gaussian_prior, "_cholesky_route", corrupted)
+        with pytest.raises(ConsistencyError, match="routes disagree"):
+            call()
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_singular_precision_raises_package_error(self, entry):
+        # a rank-one design that bypassed build_design_matrix's rank check:
+        # with sigma_e2 = 1e-300 the posterior precision is singular to
+        # working precision, and numpy's LinAlgError must not escape
+        phi = np.array([[1.0, 1.0], [0.0, 0.0]])
+        design = DesignMatrix(phi=phi, gram=phi.T @ phi, chol=np.eye(2))
+        prior = isotropic_prior(2, 1.0)
+        call = _entry_points(np.array([1.0, -1.0]), design, 1e-300, prior, prior)[entry]
+        with pytest.raises(SingularPrior, match="posterior precision"):
+            call()
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_tiny_noise_scores_without_output_covariance(self, entry):
+        # the output covariance [[1, 1], [1, 1]] + 1e-300 I cannot be
+        # factored in double precision, but the evidence is well defined:
+        # y = (-2, 2) is its sigma_e2-eigenvector, so the Mahalanobis norm
+        # is 8 / sigma_e2 and the determinant is sigma_e2 (2 + sigma_e2)
         design = build_design_matrix(TWO_POINT, BasisFamily("constant", 1), [])
-        with pytest.raises(ConsistencyError, match="positive definiteness"):
-            score(TWO_POINT.outputs, design, isotropic_prior(1, 1.0))
+        y = TWO_POINT.outputs
+        prior = isotropic_prior(1, 1.0)
+        posterior = posterior_coefficients(y, design, 1e-300, prior)
+        _entry_points(y, design, 1e-300, prior, posterior)[entry]()
+        report = log_marginal_likelihood(y, design, 1e-300, prior)
+        assert report.fitting_term == pytest.approx(4e300, rel=1e-14)
+        assert report.penalty_term == pytest.approx(
+            0.5 * (math.log(1e-300) + math.log(2.0)), rel=1e-14
+        )
 
 
 class TestPredictAt:
@@ -207,6 +261,30 @@ class TestLogMarginal:
         cov = output_covariance(design, 0.3, isotropic_prior(1, 2.0))
         # shared latent level: sigma_p2 everywhere, plus sigma_e2 on the diagonal
         np.testing.assert_allclose(cov, 2.0 * np.ones((4, 4)) + 0.3 * np.eye(4), rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [1016, 1100])
+    def test_matches_dense_output_covariance_at_large_n(self, n):
+        # N + M rows exceed two QR row blocks, so the blocked factorization
+        # runs, with leftover rows (1100) and without (1016)
+        rng = np.random.default_rng(20)
+        x = np.linspace(0.0, 10.0, n)
+        ds = Dataset(inputs=x[:, None], outputs=np.sin(x) + rng.normal(0.0, 0.3, n))
+        design = build_design_matrix(
+            ds, BasisFamily("gaussian-rbf", 8, width=1.0), np.linspace(0.5, 9.5, 8)
+        )
+        prior = isotropic_prior(8, 1.5, 0.2)
+        report = log_marginal_likelihood(ds.outputs, design, 0.09, prior)
+        cov = output_covariance(design, 0.09, prior)
+        want = stats.multivariate_normal.logpdf(ds.outputs, design.phi @ prior.mean, cov)
+        assert report.log_value == pytest.approx(want, rel=1e-11)
+        belief = posterior_coefficients(ds.outputs, design, 0.09, prior)
+        gain = np.linalg.solve(cov, design.phi @ prior.cov).T
+        np.testing.assert_allclose(
+            belief.mean, prior.mean + gain @ (ds.outputs - design.phi @ prior.mean), rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            belief.cov, prior.cov - gain @ design.phi @ prior.cov, rtol=1e-8, atol=1e-14
+        )
 
     def test_matches_monte_carlo_oracle(self):
         rng = np.random.default_rng(19)
@@ -294,3 +372,62 @@ class TestPenaltyCrossing:
         lam = design.gram[0, 0]
         part2_at_crossing = 0.5 * (log_scale + math.log(lam))
         assert part2_at_crossing == pytest.approx(1e3, rel=1e-12)
+
+
+class TestExample2Designs:
+    """The paper's exp(|x - c|) designs, where the output covariance has a
+    condition number far beyond 1/eps and only the M x M routes can score."""
+
+    @staticmethod
+    def dataset(rep):
+        rng = np.random.default_rng(np.random.SeedSequence([20250811, rep]))
+        y = cli._example2_truth() + rng.normal(0.0, math.sqrt(cli._EX2_SIGMA2), cli._EX2_N)
+        return Dataset(inputs=cli._EX2_X[:, None], outputs=y)
+
+    @pytest.mark.parametrize("sigma_p2", [1.0, 1e4])
+    def test_log_z_matches_60_digit_reference(self, sigma_p2):
+        mp = pytest.importorskip("mpmath")
+        ds = self.dataset(0)
+        design = build_design_matrix(ds, cli._EX2_FAMILY, cli._EX2_ALPHA)
+        report = log_marginal_likelihood(
+            ds.outputs, design, cli._EX2_SIGMA2, isotropic_prior(2, sigma_p2)
+        )
+        with mp.workdps(60):
+            # determinant lemma and Woodbury form on the same double-precision
+            # inputs; 60 digits absorb the ~14 the Woodbury difference cancels
+            phi = mp.matrix(design.phi.tolist())
+            y = mp.matrix(ds.outputs.tolist())
+            s2, sp2 = mp.mpf(cli._EX2_SIGMA2), mp.mpf(sigma_p2)
+            a = phi.T * phi + (s2 / sp2) * mp.eye(2)
+            b = phi.T * y
+            quad = ((y.T * y)[0] - (b.T * mp.lu_solve(a, b))[0]) / s2
+            log_det = (design.n - 2) * mp.log(s2) + 2 * mp.log(sp2) + mp.log(mp.det(a))
+            want = -(quad + log_det + design.n * mp.log(2 * mp.pi)) / 2
+            assert abs((report.log_value - want) / want) <= 1e-9
+
+    @pytest.mark.parametrize("sigma_p2", [1e-2, 1.0, 1e4])
+    def test_every_admitted_grid_design_scores(self, sigma_p2):
+        ds = self.dataset(0)
+        axis = np.linspace(-10.0, 10.0, 41)
+        admitted = 0
+        for i, a0 in enumerate(axis):
+            for a1 in axis[i + 1:]:
+                params = HyperParams(alpha=[a0, a1], sigma_e2=cli._EX2_SIGMA2, prior_scale=sigma_p2)
+                value = evaluate_objective(ds, cli._EX2_FAMILY, params, "log_marginal")
+                admitted += math.isfinite(value)
+        assert admitted == 756
+
+    def test_log_marginal_search_completes(self):
+        search = OptimizerConfig(
+            bounds={"alpha0": (-10.0, 10.0), "alpha1": (-10.0, 10.0)},
+            grid_points=41,
+            ordering=(("alpha0", "alpha1"),),
+            tolerance=1e-6,
+            max_evals=400,
+        )
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=cli._EX2_SIGMA2, prior_scale=1.0)
+        best, value, _ = empirical_bayes_optimize(
+            self.dataset(0), cli._EX2_FAMILY, "log_marginal", search, fixed
+        )
+        assert math.isfinite(value)
+        np.testing.assert_allclose(best.alpha, cli._EX2_ALPHA, atol=0.5)
