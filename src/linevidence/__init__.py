@@ -38,7 +38,6 @@ from .model import (
 from .improper_prior import (
     EvidenceReport,
     log_area_under_likelihood,
-    profiled_cost,
     smooth,
     unbiased_noise_variance,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "posterior_coefficients",
     "predict_at",
     "profile_likelihood",
-    "profiled_cost",
     "quadrature_log_area",
     "resampling_estimator_stats",
     "residual_dof",

@@ -356,7 +356,7 @@ def _verify_checks(seed: int) -> list[dict]:
         gaussian_prior.diffuse_limit_decomposition(
             y_vec, design, 1.0, np.logspace(-2, 12, 60), prior_mean=2.0
         )
-        return True, "Woodbury and direct ladder routes agree"
+        return True, "augmented-QR and Cholesky routes agree on every rung"
 
     record("quadrature_vs_closed_form_area", check_quadrature)
     record("monte_carlo_vs_closed_form_marginal", check_monte_carlo)

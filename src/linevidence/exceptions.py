@@ -41,7 +41,7 @@ class ConsistencyError(LinEvidenceError):
     """Two algebraically equivalent routes disagreed beyond tolerance.
 
     Raised by internal dual-route checks (posterior forms, quadratic-form
-    identities, Woodbury reductions).  Seeing this means the numerics broke
+    identities, log-evidence routes).  Seeing this means the numerics broke
     down, not that the caller passed bad input.
     """
 

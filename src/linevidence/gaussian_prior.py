@@ -26,12 +26,11 @@ exists to catch.  The QR values are returned.  Both routes take the
 quadratic form from the residual, never as ``y~^T y~ - b^T A^{-1} b``, which
 cancels most of its digits when y is large against the residual.
 
-The diffuse-limit ladder evaluates log Z along an increasing sequence of
-isotropic prior scales and splits -log Z into the Woodbury-reduced fitting
-part (which converges to the flat-prior fitting term) and the log-determinant
-part (which grows without bound), making the Z -> 0 diffuse limit visible
-term by term.  Its reference route on every rung is
-:func:`log_marginal_likelihood` itself.
+The diffuse-limit ladder scores each of an increasing sequence of isotropic
+prior scales with :func:`log_marginal_likelihood` and splits -log Z into its
+fitting term (which converges to the flat-prior fitting term) and its
+log-determinant term (which grows without bound), making the Z -> 0 diffuse
+limit visible term by term.
 """
 from __future__ import annotations
 
@@ -56,7 +55,6 @@ from .model import (
 _EPS = float(np.finfo(float).eps)
 _QR_BLOCK_ROWS = 256
 _DUAL_ROUTE_RTOL = 1e-10
-_LADDER_RTOL = 1e-8
 
 
 def isotropic_prior(m: int, scale: float, mean: float = 0.0) -> GaussianBelief:
@@ -306,27 +304,21 @@ def diffuse_limit_decomposition(
 ) -> list[LadderPoint]:
     """Split -log Z into fitting and volume parts along a prior-scale ladder.
 
-    For each isotropic prior scale s in the strictly increasing ladder,
+    Each isotropic prior scale s of the strictly increasing ladder is scored
+    by :func:`log_marginal_likelihood` under ``isotropic_prior(M, s,
+    prior_mean)``, so every rung runs the checked augmented-QR and Cholesky
+    routes.  With ``y~ = y - Phi mu_p``,
 
-        part1 = (y~^T y~ - y~^T Phi ((sigma_e2/s) I + Phi^T Phi)^{-1} Phi^T y~)
-                / (2 sigma_e2)
+        part1 = y~^T (s Phi Phi^T + sigma_e2 I)^{-1} y~ / 2
         part2 = log det(s Phi Phi^T + sigma_e2 I) / 2
 
-    with ``y~ = y - Phi mu_p``, and ``log_z = -(part1 + part2 + N/2 log 2pi)``.
-    A single eigendecomposition of the Gram matrix is shared by every rung;
-    each rung is cross-checked against :func:`log_marginal_likelihood` under
-    the same isotropic prior (part1 against its fitting term, part2 against
-    its penalty term) at 1e-8 relative tolerance, widened only when the
-    output covariance is too ill-conditioned for 1e-8 to be representable.
+    are the rung's fitting and penalty terms, and ``log_z = -(part1 + part2 +
+    N/2 log 2pi)``.
 
     As s grows, part1 falls to the flat-prior fitting term while part2 grows
     without bound: the evidence of an ever-more-diffuse proper prior vanishes
     instead of approaching the likelihood area.
     """
-    y = _check_outputs(y, design)
-    _check_noise_var(sigma_e2)
-    if not math.isfinite(prior_mean):
-        raise ValueError("prior_mean must be finite")
     ladder = np.asarray(sigma_p2_ladder, dtype=float)
     if ladder.ndim != 1 or ladder.size == 0:
         raise ValueError("sigma_p2_ladder must be a nonempty 1-D sequence")
@@ -334,55 +326,24 @@ def diffuse_limit_decomposition(
         raise ValueError("ladder entries must be positive and finite")
     if np.any(np.diff(ladder) <= 0):
         raise ValueError("sigma_p2_ladder must be strictly increasing")
-
-    n, m = design.n, design.m
-    eigvals, eigvecs = np.linalg.eigh(design.gram)
-    shifted = y - prior_mean * np.sum(design.phi, axis=1)
-    yy = float(shifted @ shifted)
-    w = eigvecs.T @ (design.phi.T @ shifted)
-    w2 = w**2
-    log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
-
     out: list[LadderPoint] = []
-    lam_max = float(eigvals[-1])
     for s in ladder:
-        ridge = sigma_e2 / s
-        part1 = (yy - float(np.sum(w2 / (ridge + eigvals)))) / (2.0 * sigma_e2)
-        part2 = 0.5 * (
-            float(np.sum(np.log(s * eigvals + sigma_e2)))
-            + (n - m) * math.log(sigma_e2)
-        )
-
-        direct = log_marginal_likelihood(y, design, sigma_e2, isotropic_prior(m, s, prior_mean))
-        # s Phi Phi^T + sigma_e2 I has condition number (s lam_max + sigma_e2) / sigma_e2
-        rung_rtol = _route_rtol(_LADDER_RTOL, (s * lam_max + sigma_e2) / sigma_e2)
-        if not math.isclose(part1, direct.fitting_term, rel_tol=rung_rtol, abs_tol=1e-12):
-            raise ConsistencyError(
-                f"Woodbury fitting term disagrees with direct route at sigma_p2={s}"
-            )
-        if not math.isclose(part2, direct.penalty_term, rel_tol=rung_rtol, abs_tol=1e-12):
-            raise ConsistencyError(
-                f"log-determinant term disagrees with direct route at sigma_p2={s}"
-            )
-
-        log_z = -(part1 + part2 + log_2pi_term)
-        out.append(LadderPoint(float(s), log_z, part1, part2))
+        prior = isotropic_prior(design.m, s, prior_mean)
+        rung = log_marginal_likelihood(y, design, sigma_e2, prior)
+        out.append(LadderPoint(float(s), rung.log_value, rung.fitting_term, rung.penalty_term))
     return out
 
 
 def penalty_crossing_scale(design: DesignMatrix, sigma_e2: float, bound: float) -> float:
     """log(sigma_p2) at which the ladder's part2 reaches ``bound``.
 
-    Inverts the large-scale form ``part2 ~ (M log sigma_p2 + sum log lambda_i
+    Inverts the large-scale form ``part2 ~ (M log sigma_p2 + log det(Phi^T Phi)
     + (N - M) log sigma_e2) / 2``; valid once sigma_p2 dominates
-    sigma_e2 / lambda_min.  Returned in log domain so arbitrarily large
-    bounds stay representable even when sigma_p2 itself would overflow.
+    sigma_e2 / lambda_min(Phi^T Phi).  Returned in log domain so arbitrarily
+    large bounds stay representable even when sigma_p2 itself would overflow.
     """
     _check_noise_var(sigma_e2)
     if not math.isfinite(bound):
         raise ValueError("bound must be finite")
-    eigvals = np.linalg.eigvalsh(design.gram)
     n, m = design.n, design.m
-    return float(
-        (2.0 * bound - float(np.sum(np.log(eigvals))) - (n - m) * math.log(sigma_e2)) / m
-    )
+    return float((2.0 * bound - design.log_det_gram - (n - m) * math.log(sigma_e2)) / m)

@@ -8,9 +8,8 @@ likelihood,
            * exp(-||y - f_hat||^2 / (2 sigma_e2)),
 
 where ``f_hat`` is the least-squares fit.  This module computes the flat-prior
-posterior and smoothing distributions, log S and the quantities
-derived from it: the unbiased noise-variance estimator and the profiled cost
-over basis parameters.
+posterior and smoothing distributions, log S and the unbiased
+noise-variance estimator derived from it.
 """
 from __future__ import annotations
 
@@ -149,27 +148,3 @@ def unbiased_noise_variance(y, design: DesignMatrix) -> float:
         )
     return rss / dof
 
-
-def profiled_cost(y, design: DesignMatrix) -> float:
-    """Cost over basis parameters with the noise variance profiled out.
-
-    Equal (up to an additive constant, fixed here to zero) to minus log S
-    evaluated at the profiled noise variance:
-
-        C = (N - M)/2 * log(rss) + log det(Phi^T Phi) / 2.
-
-    A zero residual makes the cost -inf; that sentinel is returned with a
-    :class:`DegenerateFitWarning` instead of raising, so grid searches can
-    treat interpolation as a boundary rather than a crash.
-    """
-    y = _check_outputs(y, design)
-    dof = residual_dof(design)
-    _, rss = _residual_sum_of_squares(y, design)
-    if _zero_residual(y, rss):
-        warnings.warn(
-            "residual is numerically zero; profiled cost is -inf",
-            DegenerateFitWarning,
-            stacklevel=2,
-        )
-        return -np.inf
-    return float(0.5 * dof * np.log(rss) + 0.5 * design.log_det_gram)

@@ -355,11 +355,16 @@ class TestDiffuseLadder:
 
 class TestPenaltyCrossing:
     def test_inverts_ladder_at_attainable_bound(self):
-        design = build_design_matrix(TWO_POINT, BasisFamily("constant", 1), [])
-        y = TWO_POINT.outputs
-        target = diffuse_limit_decomposition(y, design, 1.0, [1e12])[0].part2
-        log_scale = penalty_crossing_scale(design, 1.0, target)
-        assert log_scale == pytest.approx(math.log(1e12), abs=1e-3)
+        ex2 = TestExample2Designs.dataset(0)
+        problems = [
+            (TWO_POINT, BasisFamily("constant", 1), [], 1.0),
+            (ex2, cli._EX2_FAMILY, cli._EX2_ALPHA, cli._EX2_SIGMA2),
+        ]
+        for ds, family, alpha, sigma_e2 in problems:
+            design = build_design_matrix(ds, family, alpha)
+            target = diffuse_limit_decomposition(ds.outputs, design, sigma_e2, [1e12])[0].part2
+            log_scale = penalty_crossing_scale(design, sigma_e2, target)
+            assert log_scale == pytest.approx(math.log(1e12), abs=1e-3)
 
     def test_huge_bound_stays_finite(self):
         design = build_design_matrix(TWO_POINT, BasisFamily("constant", 1), [])
@@ -404,6 +409,33 @@ class TestExample2Designs:
             log_det = (design.n - 2) * mp.log(s2) + 2 * mp.log(sp2) + mp.log(mp.det(a))
             want = -(quad + log_det + design.n * mp.log(2 * mp.pi)) / 2
             assert abs((report.log_value - want) / want) <= 1e-9
+
+    def test_ladder_rungs_are_log_marginal_likelihood(self):
+        ds = self.dataset(0)
+        design = build_design_matrix(ds, cli._EX2_FAMILY, cli._EX2_ALPHA)
+        rungs = diffuse_limit_decomposition(ds.outputs, design, cli._EX2_SIGMA2, [1.0, 1e4])
+        for rung in rungs:
+            report = log_marginal_likelihood(
+                ds.outputs, design, cli._EX2_SIGMA2, isotropic_prior(2, rung.sigma_p2)
+            )
+            assert rung.log_z == pytest.approx(report.log_value, rel=1e-12)
+            assert rung.part1 == pytest.approx(report.fitting_term, rel=1e-12)
+            assert rung.part2 == pytest.approx(report.penalty_term, rel=1e-12)
+
+    def test_diffuse_rung_falls_below_area_by_prior_volume(self):
+        # Z = S E[N(theta | 0, s I)] over the flat posterior N(theta_hat,
+        # sigma_e2 G^{-1}), so for large s log Z + (M/2) log(2 pi s) - log S
+        # = -(||theta_hat||^2 + sigma_e2 tr G^{-1}) / (2 s) + O(1/s^2):
+        # Z -> 0 rather than S
+        ds = self.dataset(0)
+        sigma_e2, s = cli._EX2_SIGMA2, 1e4
+        design = build_design_matrix(ds, cli._EX2_FAMILY, cli._EX2_ALPHA)
+        rung = diffuse_limit_decomposition(ds.outputs, design, sigma_e2, [s])[0]
+        log_s = log_area_under_likelihood(ds.outputs, design, sigma_e2).log_value
+        theta_hat = flat_posterior_coefficients(ds.outputs, design, sigma_e2).mean
+        gap = rung.log_z + 0.5 * design.m * math.log(2.0 * math.pi * s) - log_s
+        want = -(theta_hat @ theta_hat + sigma_e2 * np.trace(np.linalg.inv(design.gram))) / (2 * s)
+        assert gap == pytest.approx(want, rel=1e-3)
 
     @pytest.mark.parametrize("sigma_p2", [1e-2, 1.0, 1e4])
     def test_every_admitted_grid_design_scores(self, sigma_p2):

@@ -22,13 +22,11 @@ from linevidence import (
     EvidenceReport,
     GaussianBelief,
     QuadratureSpec,
-    RankDeficient,
     build_design_matrix,
     flat_posterior_coefficients,
     log_area_under_likelihood,
     log_likelihood,
     predict_at,
-    profiled_cost,
     quadrature_log_area,
     smooth,
     unbiased_noise_variance,
@@ -225,68 +223,6 @@ class TestUnbiasedNoiseVariance:
         design = poly_design(2, 2)
         with pytest.raises(DegenerateDof):
             unbiased_noise_variance(np.array([1.0, 2.0]), design)
-
-
-class TestProfiledCost:
-    def test_differences_match_profiled_log_area(self):
-        # C is -log S at the profiled noise variance, up to a constant that
-        # depends only on N - M; differences over alpha must agree exactly
-        rng = np.random.default_rng(44)
-        x = np.linspace(-3, 3, 25)
-        family = BasisFamily("gaussian-rbf", 2)
-        y = rng.normal(size=25)
-        ds = Dataset(inputs=x[:, None], outputs=y)
-        costs, areas = [], []
-        for centers in ([-1.0, 1.0], [-0.3, 2.0]):
-            design = build_design_matrix(ds, family, centers)
-            costs.append(profiled_cost(y, design))
-            sigma2 = unbiased_noise_variance(y, design)
-            areas.append(-log_area_under_likelihood(y, design, sigma2).log_value)
-        assert costs[0] - costs[1] == pytest.approx(areas[0] - areas[1], abs=1e-9)
-
-    def test_shift_constant_matches_dof_formula(self):
-        rng = np.random.default_rng(45)
-        design = poly_design(10, 3)
-        y = rng.normal(size=10)
-        cost = profiled_cost(y, design)
-        sigma2 = unbiased_noise_variance(y, design)
-        neg_log_area = -log_area_under_likelihood(y, design, sigma2).log_value
-        dof = 7
-        shift = 0.5 * dof * (1.0 + math.log(2.0 * math.pi / dof))
-        assert neg_log_area - cost == pytest.approx(shift, rel=1e-12)
-
-    def test_zero_residual_sentinel(self):
-        design = poly_design(4, 2)
-        y = design.phi @ np.array([0.5, -1.0])
-        with pytest.warns(DegenerateFitWarning):
-            assert profiled_cost(y, design) == -math.inf
-
-    def test_two_center_grid_minimum_near_truth(self):
-        # self-generated data: grid minimum of C must land within one cell
-        # of the generating centers
-        rng = np.random.default_rng(70)
-        x = np.linspace(-10.0, 10.0, 200)
-        family = BasisFamily("exponential-abs", 2)
-        truth_ds = Dataset(inputs=x[:, None], outputs=np.zeros(200))
-        truth = build_design_matrix(truth_ds, family, [-4.0, 6.0])
-        y = truth.phi @ np.array([2.0, -5.0]) + rng.normal(0.0, math.sqrt(0.5), 200)
-        ds = Dataset(inputs=x[:, None], outputs=y)
-        grid = np.linspace(-10.0, 10.0, 41)
-        best, best_cost = None, math.inf
-        for a1 in grid:
-            for a2 in grid:
-                if not a1 < a2:
-                    continue
-                try:
-                    design = build_design_matrix(ds, family, [a1, a2])
-                except RankDeficient:
-                    continue
-                cost = profiled_cost(y, design)
-                if cost < best_cost:
-                    best, best_cost = (a1, a2), cost
-        cell = grid[1] - grid[0]
-        assert abs(best[0] - (-4.0)) <= cell
-        assert abs(best[1] - 6.0) <= cell
 
 
 class TestInternalIdentities:
