@@ -22,7 +22,7 @@ import scipy.special
 from . import improper_prior
 from .exceptions import AllDegenerate, NonFiniteMassWarning
 from .model import BasisFamily, Dataset, GaussianBelief, HyperParams, build_design_matrix, log_likelihood
-from .selection import _DEGENERATE, _grid_points, _positive_variances, assemble_hyperparams
+from .selection import _grid_points, _score_point, assemble_hyperparams
 
 _BOUNDARY_MASS_LIMIT = 0.5
 
@@ -66,24 +66,20 @@ def build_hyper_posterior(
     the grid stands in for is then likely not finite.
     """
     names, points = _grid_points(family, eta_points, names)
-    k = points.shape[0]
-    log_weights = np.full(k, -math.inf)
-    posteriors: list[GaussianBelief | None] = [None] * k
-    failed = np.array([not _positive_variances(names, vec) for vec in points], dtype=bool)
     y = dataset.outputs
-    for i in np.flatnonzero(~failed):
-        params = assemble_hyperparams(names, points[i], fixed, family)
-        try:
-            design = build_design_matrix(dataset, family, params.alpha)
-            report = improper_prior.log_area_under_likelihood(y, design, params.sigma_e2)
-            log_weights[i] = report.log_value
-            posteriors[i] = improper_prior.posterior_coefficients(
-                y, design, params.sigma_e2
-            )
-        except _DEGENERATE:
-            failed[i] = True
+
+    def weigh(params: HyperParams, design) -> tuple[float, GaussianBelief]:
+        return (
+            improper_prior.log_area_under_likelihood(y, design, params.sigma_e2).log_value,
+            improper_prior.posterior_coefficients(y, design, params.sigma_e2),
+        )
+
+    scored = [_score_point(dataset, family, weigh, names, vec, fixed) for vec in points]
+    failed = np.array([s is None for s in scored])
     if np.all(failed):
         raise AllDegenerate("every grid point has weight zero")
+    log_weights = np.array([-math.inf if s is None else s[0] for s in scored])
+    posteriors = tuple(None if s is None else s[1] for s in scored)
     probs = scipy.special.softmax(log_weights)
 
     lo = points.min(axis=0)
@@ -103,7 +99,7 @@ def build_hyper_posterior(
         fixed=fixed,
         log_weights=log_weights,
         probs=probs,
-        posteriors=tuple(posteriors),
+        posteriors=posteriors,
         failed=failed,
     )
 

@@ -109,8 +109,8 @@ class OptimizerConfig:
             raise ValueError("grid_points must be an integer of at least 2")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be positive")
+        if not isinstance(self.max_evals, (int, np.integer)) or self.max_evals < 1:
+            raise ValueError("max_evals must be an integer of at least 1")
         for lo_name, hi_name in self.ordering:
             if lo_name not in self.bounds or hi_name not in self.bounds:
                 raise ValueError("ordering names must appear in bounds")
@@ -174,24 +174,71 @@ def evaluate_objective(
     """Score one hyperparameter setting; -inf for degenerate candidates."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    try:
-        design = build_design_matrix(dataset, family, params.alpha)
+    if objective == "log_marginal" and params.prior_scale is None:
+        raise ValueError("log_marginal objective requires prior_scale")
+
+    def score(params: HyperParams, design) -> float:
         if objective == "log_area":
             return improper_prior.log_area_under_likelihood(
                 dataset.outputs, design, params.sigma_e2
             ).log_value
-        if params.prior_scale is None:
-            raise ValueError("log_marginal objective requires prior_scale")
         prior = gaussian_prior.isotropic_prior(design.m, params.prior_scale)
         return gaussian_prior.log_marginal_likelihood(
             dataset.outputs, design, params.sigma_e2, prior
         ).log_value
+
+    value = _score_design(dataset, family, params, score)
+    return -math.inf if value is None else value
+
+
+def _score_design(dataset: Dataset, family: BasisFamily, params: HyperParams, score):
+    """``score(params, design)``, or None when the design or its score is degenerate."""
+    try:
+        return score(params, build_design_matrix(dataset, family, params.alpha))
     except _DEGENERATE:
-        return -math.inf
+        return None
 
 
 def _positive_variances(names, values) -> bool:
     return all(v > 0 for n, v in zip(names, values) if n in _VARIANCE_NAMES)
+
+
+def _score_point(dataset, family, score, names, vec, fixed):
+    """``_score_design`` at one sweep point; None also where a variance is nonpositive."""
+    if not _positive_variances(names, vec):
+        return None
+    params = assemble_hyperparams(names, vec, fixed, family)
+    return _score_design(dataset, family, params, score)
+
+
+# Private, like the scorers above: a traced run wraps every public function, and
+# a public sweep helper would hide the caller that tells grid, refine and polish apart.
+def _grid_then_polish(score, points, bounds, options):
+    """Score every grid point, then polish the first best one by Nelder-Mead.
+
+    ``score(vec)`` gives a log value, or None for a point that is no candidate.
+    The polish runs only from a finite best value and is kept only if higher.
+    Returns ``(values, best_vec, best_value)``, values -inf where score gave None.
+    """
+    values = []
+    best_vec, best_value = None, -math.inf
+    for vec in points:
+        value = score(vec)
+        values.append(-math.inf if value is None else value)
+        if value is not None and (value > best_value or best_vec is None):
+            best_vec, best_value = vec, value
+    if math.isfinite(best_value):
+
+        def negated(vec: np.ndarray) -> float:
+            value = score(vec)
+            return -value if value is not None and math.isfinite(value) else math.inf
+
+        result = scipy.optimize.minimize(
+            negated, best_vec, method="Nelder-Mead", bounds=bounds, options=options
+        )
+        if math.isfinite(result.fun) and -result.fun > best_value:
+            best_value, best_vec = -float(result.fun), np.asarray(result.x)
+    return np.array(values), best_vec, best_value
 
 
 def _grid_points(
@@ -228,66 +275,40 @@ def empirical_bayes_optimize(
 ) -> tuple[HyperParams, float, list[tuple[dict, float]]]:
     """Maximize a log score over free hyperparameters by grid then refine.
 
-    The coarse stage sweeps a lexicographically ordered tensor grid over the
+    The coarse stage scores a lexicographically ordered tensor grid over the
     bound boxes, skipping infeasible points (ordering violations, nonpositive
     variances); ties keep the lexicographically smallest point.  Unless every
-    grid point is degenerate, a Nelder-Mead polish then starts from the best
-    grid point within the same bounds.  Every evaluated point is recorded in
-    the returned trace, so reruns are byte-for-byte reproducible.
+    grid point is degenerate, a Nelder-Mead refine then starts from the best
+    grid point within the same bounds, and its result is kept only when it
+    scores higher.  Every evaluated point is recorded in the returned trace,
+    so reruns are byte-for-byte reproducible.
 
     Returns ``(best_params, best_value, trace)``.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
-    if objective == "log_marginal" and "sigma_p2" not in config.bounds:
-        if fixed is None or fixed.prior_scale is None:
-            raise ValueError("log_marginal objective requires sigma_p2 fixed or free")
     names = list(config.bounds)
     axes = [np.linspace(lo, hi, config.grid_points) for lo, hi in config.bounds.values()]
     trace: list[tuple[dict, float]] = []
-    best_value = -math.inf
-    best_vec: np.ndarray | None = None
 
-    def score(vec: np.ndarray) -> float:
+    def score(vec: np.ndarray) -> float | None:
+        if not _feasible(names, vec, config):
+            return None
         params = assemble_hyperparams(names, vec, fixed, family)
         value = evaluate_objective(dataset, family, params, objective)
         trace.append((dict(zip(names, (float(v) for v in vec))), value))
         return value
 
-    feasible_seen = False
-    for combo in itertools.product(*axes):
-        vec = np.asarray(combo)
-        if not _feasible(names, vec, config):
-            continue
-        feasible_seen = True
-        value = score(vec)
-        if value > best_value or best_vec is None:
-            best_value, best_vec = value, vec
-    if not feasible_seen:
+    _, best_vec, best_value = _grid_then_polish(
+        score,
+        (np.asarray(combo) for combo in itertools.product(*axes)),
+        list(config.bounds.values()),
+        {
+            "xatol": config.tolerance,
+            "fatol": max(1e-12, config.tolerance * 1e-4),
+            "maxfev": config.max_evals,
+        },
+    )
+    if best_vec is None:
         raise EmptyFeasibleGrid("constraints exclude every grid point")
-
-    if math.isfinite(best_value):
-
-        def negated(vec: np.ndarray) -> float:
-            if not _feasible(names, vec, config):
-                return math.inf
-            value = score(np.asarray(vec))
-            return -value if math.isfinite(value) else math.inf
-
-        result = scipy.optimize.minimize(
-            negated,
-            best_vec,
-            method="Nelder-Mead",
-            bounds=list(config.bounds.values()),
-            options={
-                "xatol": config.tolerance,
-                "fatol": max(1e-12, config.tolerance * 1e-4),
-                "maxfev": config.max_evals,
-            },
-        )
-        if math.isfinite(result.fun) and -result.fun > best_value:
-            best_value, best_vec = -float(result.fun), np.asarray(result.x)
-
     best = assemble_hyperparams(names, best_vec, fixed, family)
     return best, best_value, trace
 
@@ -314,47 +335,28 @@ def profile_likelihood(
     """Likelihood maximized over theta, profiled on a hyperparameter grid.
 
     At each grid point the coefficients are set to their closed-form ML value
-    and the likelihood is evaluated there.  Values are normalized by a joint
-    (grid plus Nelder-Mead polish) maximization so the normalized profile lies
-    in (0, 1] wherever it is defined; grid points with a nonpositive variance
-    or a degenerate design are flagged in ``failed`` and get zero weight
-    rather than failing the whole sweep.
+    and the likelihood is evaluated there.  Values are normalized by the
+    larger of the grid maximum and an unbounded Nelder-Mead polish started
+    from the best grid point, so the normalized profile lies in (0, 1]
+    wherever it is defined; grid points with a nonpositive variance or a
+    degenerate design are flagged in ``failed`` and get zero weight rather
+    than failing the whole sweep.
     """
     names, points = _grid_points(family, eta_points, names)
 
-    def log_profile(vec) -> float:
-        """-inf where a variance is nonpositive or the design is degenerate."""
-        if not _positive_variances(names, vec):
-            return -math.inf
-        params = assemble_hyperparams(names, vec, fixed, family)
-        try:
-            design = build_design_matrix(dataset, family, params.alpha)
-            theta_hat, _ = ml_estimate(dataset.outputs, design)
-        except _DEGENERATE:
-            return -math.inf
+    def profiled(params: HyperParams, design) -> float:
+        theta_hat, _ = ml_estimate(dataset.outputs, design)
         return log_likelihood(dataset.outputs, design, theta_hat, params.sigma_e2)
 
-    log_values = np.array([log_profile(vec) for vec in points])
+    log_values, _, log_max = _grid_then_polish(
+        lambda vec: _score_point(dataset, family, profiled, names, vec, fixed),
+        points,
+        None,
+        {"xatol": 1e-8, "fatol": 1e-12, "maxfev": 400 * max(1, len(names))},
+    )
     failed = log_values == -math.inf
     if np.all(failed):
         raise AllDegenerate("every grid point failed")
-
-    best_idx = int(np.argmax(log_values))
-    log_max = float(log_values[best_idx])
-
-    def negated(vec) -> float:
-        value = log_profile(vec)
-        return -value if math.isfinite(value) else math.inf
-
-    result = scipy.optimize.minimize(
-        negated,
-        points[best_idx],
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-12, "maxfev": 400 * max(1, len(names))},
-    )
-    if math.isfinite(result.fun):
-        log_max = max(log_max, -float(result.fun))
-
     normalized = np.exp(log_values - log_max)
     normalized[failed] = 0.0
     return ProfileResult(

@@ -11,6 +11,7 @@ from linevidence import (
     DimensionMismatch,
     HyperParams,
     NonFiniteMassWarning,
+    RankDeficient,
     averaged_model_loglik,
     build_design_matrix,
     build_hyper_posterior,
@@ -201,6 +202,19 @@ class TestAveragedModelLoglik:
         want = top + math.log(sum(math.exp(t - top) for t in terms))
         got = averaged_model_loglik(grid, ds, family, theta)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_degenerate_design_raises(self):
+        # the grid is fine on its own data, but every design built on three
+        # coincident inputs is rank one: averaging must raise, not skip points
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
+        ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
+        with pytest.warns(NonFiniteMassWarning):
+            grid = build_hyper_posterior(ds, family, [[0.0, 1.5], [0.5, 2.0]], fixed=fixed)
+        assert not np.any(grid.failed)
+        coincident = Dataset(inputs=[[0.0], [0.0], [0.0]], outputs=[0.0, 1.0, 0.0])
+        with pytest.raises(RankDeficient):
+            averaged_model_loglik(grid, coincident, family, [1.0, 1.0])
 
     def test_bounded_by_componentwise_extremes(self):
         ds, family = rbf_dataset()

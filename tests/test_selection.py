@@ -146,6 +146,8 @@ class TestOptimizerConfig:
                 "bounds": {"alpha0": (0.0, 1.0)},
                 "ordering": (("alpha0", "alpha1"),),
             },
+            {"bounds": {"alpha0": (0.0, 1.0)}, "max_evals": float("nan")},
+            {"bounds": {"alpha0": (0.0, 1.0)}, "max_evals": 2.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -201,6 +203,13 @@ class TestEvaluateObjective:
         params = HyperParams(alpha=[], sigma_e2=1.0)
         with pytest.raises(ValueError):
             evaluate_objective(TWO_POINT, CONSTANT, params, "log_marginal")
+
+    def test_missing_prior_scale_not_hidden_by_degenerate_design(self):
+        ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 2.0])
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        params = HyperParams(alpha=[0.3, 0.3], sigma_e2=1.0)
+        with pytest.raises(ValueError, match="requires prior_scale"):
+            evaluate_objective(ds, family, params, "log_marginal")
 
     def test_marginal_objective_value(self):
         params = HyperParams(alpha=[], sigma_e2=1.0, prior_scale=2.0)
@@ -291,6 +300,12 @@ class TestEmpiricalBayesOptimize:
         for params, _ in trace:
             assert params["alpha0"] < params["alpha1"]
 
+    def test_marginal_objective_without_prior_scale_raises(self):
+        config = OptimizerConfig(bounds={"sigma_e2": (0.5, 20.0)}, grid_points=4)
+        fixed = HyperParams(alpha=[], sigma_e2=1.0)
+        with pytest.raises(ValueError, match="log_marginal objective requires"):
+            empirical_bayes_optimize(TWO_POINT, CONSTANT, "log_marginal", config, fixed=fixed)
+
     def test_impossible_ordering_raises(self):
         ds = Dataset(inputs=[[-1.0], [0.0], [1.0]], outputs=[1.0, 0.0, 1.0])
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
@@ -329,6 +344,17 @@ class TestProfileLikelihood:
         assert result.normalized[peak] == pytest.approx(1.0, abs=1e-6)
         assert np.all(result.normalized > 0.0)
         assert np.all(result.normalized <= 1.0)
+
+    def test_polish_finds_peak_between_grid_nodes(self):
+        # the profile -log(2 pi s) - 4/s peaks at s = rss/N = 4, off the grid
+        fixed = HyperParams(alpha=[], sigma_e2=1.0)
+        result = profile_likelihood(
+            TWO_POINT, CONSTANT, [[1.0], [2.0], [3.0], [5.0], [6.0], [7.0]],
+            fixed=fixed, names=("sigma_e2",),
+        )
+        assert result.log_max == pytest.approx(-math.log(8.0 * math.pi) - 1.0, abs=1e-10)
+        assert result.log_max > np.max(result.log_values)
+        assert np.max(result.normalized) < 1.0
 
     def test_degenerate_points_flagged_not_fatal(self):
         ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
