@@ -21,8 +21,8 @@ import scipy.special
 
 from . import improper_prior
 from .exceptions import AllDegenerate, NonFiniteMassWarning
-from .model import BasisFamily, Dataset, GaussianBelief, HyperParams, build_design_matrix, log_likelihood
-from .selection import _grid_points, _score_point, assemble_hyperparams
+from .model import BasisFamily, Dataset, GaussianBelief, HyperParams, log_likelihood
+from .selection import _design_builder, _grid_points, _score_point, assemble_hyperparams
 
 _BOUNDARY_MASS_LIMIT = 0.5
 
@@ -63,7 +63,16 @@ def build_hyper_posterior(
     and carry -inf weight instead of aborting the sweep; if more than half of
     the resulting probability mass sits on the bounding box of the grid, a
     :class:`NonFiniteMassWarning` is emitted because the continuous integral
-    the grid stands in for is then likely not finite.
+    the grid stands in for is then likely not finite.  Only axes that take at
+    least two values bound that box; a grid on which no axis varies is one
+    point, all of it boundary.
+
+    The design depends on the basis parameters alone, and consecutive points
+    with equal alpha share one design build.  A grid that lists the variances
+    innermost, as ``itertools.product(alpha_axes..., sigma_axis)`` does, builds
+    each admissible design once (a degenerate one raises again at every
+    point); with a variance outermost every point builds its own.  Weights
+    and posteriors do not depend on the order.
     """
     names, points = _grid_points(family, eta_points, names)
     y = dataset.outputs
@@ -74,7 +83,8 @@ def build_hyper_posterior(
             improper_prior.posterior_coefficients(y, design, params.sigma_e2),
         )
 
-    scored = [_score_point(dataset, family, weigh, names, vec, fixed) for vec in points]
+    design_for = _design_builder(dataset, family)
+    scored = [_score_point(design_for, family, weigh, names, vec, fixed) for vec in points]
     failed = np.array([s is None for s in scored])
     if np.all(failed):
         raise AllDegenerate("every grid point has weight zero")
@@ -84,7 +94,9 @@ def build_hyper_posterior(
 
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    on_boundary = np.any((points == lo) | (points == hi), axis=1)
+    varies = lo < hi
+    on_edge = ((points == lo) | (points == hi)) & varies
+    on_boundary = np.any(on_edge, axis=1) | ~np.any(varies)
     boundary_mass = float(probs[on_boundary].sum())
     if boundary_mass > _BOUNDARY_MASS_LIMIT:
         warnings.warn(
@@ -113,8 +125,9 @@ def sample_posterior(
     (R, n_inner, M).  Coefficient draws use the Cholesky factor of the cached
     posterior covariance, so given a seed the output is fully deterministic.
     """
-    if n_outer < 1 or n_inner < 1:
-        raise ValueError("n_outer and n_inner must be positive")
+    for count in (n_outer, n_inner):
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError("n_outer and n_inner must be integers of at least 1")
     rng = np.random.default_rng(seed)
     idx = rng.choice(grid.size, size=n_outer, p=grid.probs)
     eta_samples = grid.points[idx]
@@ -139,17 +152,20 @@ def averaged_model_loglik(
     """log of the grid-averaged likelihood sum_i p(eta_i | y) p(y | theta, eta_i).
 
     Evaluated by log-sum-exp; grid points with zero probability are skipped,
-    so flagged degenerate points never contribute.
+    so flagged degenerate points never contribute.  A degenerate design at a
+    point with mass raises.  As in :func:`build_hyper_posterior`, consecutive
+    points with equal alpha share one design build, so the grid's order sets
+    how many designs are built but not the result.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    design_for = _design_builder(dataset, family)
     terms = []
     for i in range(grid.size):
         p = grid.probs[i]
         if p <= 0.0:
             continue
         params = assemble_hyperparams(list(grid.names), grid.points[i], grid.fixed, family)
-        design = build_design_matrix(dataset, family, params.alpha)
-        ll = log_likelihood(dataset.outputs, design, theta, params.sigma_e2)
+        ll = log_likelihood(dataset.outputs, design_for(params.alpha), theta, params.sigma_e2)
         terms.append(math.log(p) + ll)
     if not terms:
         raise AllDegenerate("no usable grid points")

@@ -187,14 +187,36 @@ def evaluate_objective(
             dataset.outputs, design, params.sigma_e2, prior
         ).log_value
 
-    value = _score_design(dataset, family, params, score)
+    value = _score_design(_design_builder(dataset, family), params, score)
     return -math.inf if value is None else value
 
 
-def _score_design(dataset: Dataset, family: BasisFamily, params: HyperParams, score):
+def _design_builder(dataset: Dataset, family: BasisFamily):
+    """A ``design_for(alpha)`` that reuses the design of the previous alpha.
+
+    It holds at most one design: the last one built, keyed by ``alpha``'s
+    bytes.  Any other alpha is built through this module's
+    ``build_design_matrix`` binding, and the held design is replaced only
+    when that build succeeds, so a degenerate alpha raises afresh at every
+    call and no exception is ever stored.  Points that share alpha therefore
+    share one design only when they are consecutive.
+    """
+    held_key, held_design = None, None
+
+    def design_for(alpha: np.ndarray):
+        nonlocal held_key, held_design
+        key = alpha.tobytes()
+        if key != held_key:
+            held_key, held_design = key, build_design_matrix(dataset, family, alpha)
+        return held_design
+
+    return design_for
+
+
+def _score_design(design_for, params: HyperParams, score):
     """``score(params, design)``, or None when the design or its score is degenerate."""
     try:
-        return score(params, build_design_matrix(dataset, family, params.alpha))
+        return score(params, design_for(params.alpha))
     except _DEGENERATE:
         return None
 
@@ -203,12 +225,12 @@ def _positive_variances(names, values) -> bool:
     return all(v > 0 for n, v in zip(names, values) if n in _VARIANCE_NAMES)
 
 
-def _score_point(dataset, family, score, names, vec, fixed):
+def _score_point(design_for, family, score, names, vec, fixed):
     """``_score_design`` at one sweep point; None also where a variance is nonpositive."""
     if not _positive_variances(names, vec):
         return None
     params = assemble_hyperparams(names, vec, fixed, family)
-    return _score_design(dataset, family, params, score)
+    return _score_design(design_for, params, score)
 
 
 # Private, like the scorers above: a traced run wraps every public function, and
@@ -348,8 +370,12 @@ def profile_likelihood(
         theta_hat, _ = ml_estimate(dataset.outputs, design)
         return log_likelihood(dataset.outputs, design, theta_hat, params.sigma_e2)
 
+    # a fresh builder per point keeps one build per evaluation; the grid
+    # points are distinct, so a shared builder would save nothing
     log_values, _, log_max = _grid_then_polish(
-        lambda vec: _score_point(dataset, family, profiled, names, vec, fixed),
+        lambda vec: _score_point(
+            _design_builder(dataset, family), family, profiled, names, vec, fixed
+        ),
         points,
         None,
         {"xatol": 1e-8, "fatol": 1e-12, "maxfev": 400 * max(1, len(names))},

@@ -1,9 +1,12 @@
 """Grid posterior over hyperparameters and two-step joint sampling."""
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import linevidence
 from linevidence import (
     AllDegenerate,
     BasisFamily,
@@ -33,6 +36,28 @@ def rbf_dataset(seed=7, n=40, center=1.0):
 
 
 FIXED_RBF = HyperParams(alpha=[0.0], sigma_e2=0.09)
+ALPHA_SIGMA = ["alpha0", "sigma_e2"]
+
+
+@pytest.fixture
+def design_builds(monkeypatch):
+    """Count build_design_matrix calls through every package binding of it."""
+    original = linevidence.model.build_design_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    for module in (linevidence.model, linevidence.selection, linevidence.full_bayes):
+        if getattr(module, "build_design_matrix", None) is original:
+            monkeypatch.setattr(module, "build_design_matrix", counted)
+    return calls
+
+
+def alpha_sigma_grid(alphas, sigmas):
+    """Product grid over (alpha0, sigma_e2) with sigma_e2 varying fastest."""
+    return np.array(list(itertools.product(alphas, sigmas)))
 
 
 class TestBuildHyperPosterior:
@@ -101,6 +126,83 @@ class TestBuildHyperPosterior:
         ds, family = rbf_dataset()
         with pytest.raises(DimensionMismatch):
             build_hyper_posterior(ds, family, [[1.0, 2.0]], fixed=FIXED_RBF)
+
+    def test_single_valued_axis_is_not_boundary(self):
+        ds, family = rbf_dataset()
+        alphas = np.linspace(-1.0, 3.0, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonFiniteMassWarning)
+            named = build_hyper_posterior(
+                ds, family, alpha_sigma_grid(alphas, [0.09]), fixed=FIXED_RBF, names=ALPHA_SIGMA
+            )
+            fixed = build_hyper_posterior(ds, family, alphas[:, None], fixed=FIXED_RBF)
+        np.testing.assert_array_equal(named.log_weights, fixed.log_weights)
+
+    def test_sigma_innermost_builds_each_design_once(self, design_builds):
+        ds, family = rbf_dataset()
+        alphas = np.linspace(0.0, 2.0, 5)
+        points = alpha_sigma_grid(alphas, [0.03, 0.045, 0.06, 0.08])
+        grid = build_hyper_posterior(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
+        assert len(design_builds) == 5
+        np.testing.assert_array_equal(np.concatenate(design_builds), alphas)
+        design_builds.clear()
+        averaged_model_loglik(grid, ds, family, [2.0])
+        assert 1 <= len(design_builds) <= 5
+
+    def test_degenerate_alpha_between_equal_alphas(self):
+        # B has equal centers: it must fail at both of its points, and the
+        # point after it must not see a design left over from B
+        ds, _ = rbf_dataset()
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.09)
+        a, b = [0.5, 1.5], [1.0, 1.0]
+        points = [a + [0.09], b + [0.09], b + [0.2], a + [0.09]]
+        with pytest.warns(NonFiniteMassWarning):
+            # every point of so small a grid is on its boundary
+            grid = build_hyper_posterior(
+                ds, family, points, fixed=fixed, names=["alpha0", "alpha1", "sigma_e2"]
+            )
+        assert grid.failed.tolist() == [False, True, True, False]
+        assert grid.log_weights[3] == grid.log_weights[0]
+        np.testing.assert_array_equal(grid.posteriors[3].mean, grid.posteriors[0].mean)
+        np.testing.assert_array_equal(grid.posteriors[3].cov, grid.posteriors[0].cov)
+
+    def test_one_ulp_neighbour_gets_its_own_design(self):
+        ds, family = rbf_dataset()
+        a = 0.7
+        b = np.nextafter(a, 2.0)
+        with pytest.warns(NonFiniteMassWarning):
+            pair = build_hyper_posterior(
+                ds, family, [[a, 0.09], [b, 0.09]], fixed=FIXED_RBF, names=ALPHA_SIGMA
+            )
+            alone = build_hyper_posterior(
+                ds, family, [[b, 0.09]], fixed=FIXED_RBF, names=ALPHA_SIGMA
+            )
+        # the two designs differ in their last bits, and so do their weights
+        assert pair.log_weights[0] != pair.log_weights[1]
+        assert pair.log_weights[1] == alone.log_weights[0]
+
+    def test_grid_order_does_not_change_results(self):
+        ds, _ = rbf_dataset()
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.09)
+        names = ["alpha0", "alpha1", "sigma_e2"]
+        axis = [0.0, 1.0, 2.0]
+        points = np.array(list(itertools.product(axis, axis, [0.05, 0.09, 0.2])))
+        order = np.random.default_rng(5).permutation(len(points))
+        with pytest.warns(NonFiniteMassWarning):
+            grid = build_hyper_posterior(ds, family, points, fixed=fixed, names=names)
+        with pytest.warns(NonFiniteMassWarning):
+            shuffled = build_hyper_posterior(ds, family, points[order], fixed=fixed, names=names)
+        assert grid.failed.sum() == 9
+        np.testing.assert_array_equal(shuffled.log_weights, grid.log_weights[order])
+        np.testing.assert_array_equal(shuffled.failed, grid.failed[order])
+        for j, i in enumerate(order):
+            mine, theirs = shuffled.posteriors[j], grid.posteriors[i]
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                np.testing.assert_array_equal(mine.mean, theirs.mean)
+                np.testing.assert_array_equal(mine.cov, theirs.cov)
 
     def test_two_center_mass_concentrates_at_truth(self):
         rng = np.random.default_rng(11)
@@ -175,6 +277,9 @@ class TestSamplePosterior:
             sample_posterior(grid, 0, 5, seed=1)
         with pytest.raises(ValueError):
             sample_posterior(grid, 5, 0, seed=1)
+        for n_outer, n_inner in [(2.5, 5), (3.0, 5), (np.float64(2), 5), (5, 2.5)]:
+            with pytest.raises(ValueError, match="integers of at least 1"):
+                sample_posterior(grid, n_outer, n_inner, seed=1)
 
 
 class TestAveragedModelLoglik:
@@ -198,6 +303,22 @@ class TestAveragedModelLoglik:
         for p, point in zip(grid.probs, points):
             design = build_design_matrix(ds, family, point)
             terms.append(math.log(p) + log_likelihood(ds.outputs, design, theta, 0.09))
+        top = max(terms)
+        want = top + math.log(sum(math.exp(t - top) for t in terms))
+        got = averaged_model_loglik(grid, ds, family, theta)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_matches_manual_logsumexp_over_noise_axis(self):
+        ds, family = rbf_dataset()
+        points = alpha_sigma_grid([0.6, 1.0, 1.4], [0.04, 0.055, 0.07])
+        grid = build_hyper_posterior(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
+        theta = [2.1]
+        terms = []
+        for p, (alpha, sigma_e2) in zip(grid.probs, points):
+            if p == 0.0:
+                continue
+            design = build_design_matrix(ds, family, [alpha])
+            terms.append(math.log(p) + log_likelihood(ds.outputs, design, theta, sigma_e2))
         top = max(terms)
         want = top + math.log(sum(math.exp(t - top) for t in terms))
         got = averaged_model_loglik(grid, ds, family, theta)
