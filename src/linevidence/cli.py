@@ -14,7 +14,6 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,26 +42,16 @@ _EX2_SIGMA2 = 0.5
 _EX2_FAMILY = BasisFamily("exponential-abs", 2)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated command-line options shared by the experiment drivers."""
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers of at least ``low``."""
 
-    out_dir: Path
-    fmt: str = "csv"
-    seed: int | None = None
-    runs: int | None = None
-    jobs: int = 1
+    # argparse names this function in its message for text int() rejects
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
 
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
-        if self.runs is not None and self.runs < 2:
-            raise ValueError("runs must be at least 2 for a sample variance")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
-        out = Path(self.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        object.__setattr__(self, "out_dir", out)
+    return count
 
 
 def _fmt_cell(value) -> str:
@@ -84,21 +73,21 @@ def _write_table(path: Path, meta: dict, columns: list[str], rows: list[list]) -
             writer.writerow([_fmt_cell(v) for v in row])
 
 
-def _meta(experiment: str, cfg: RunConfig, **extra) -> dict:
+def _meta(experiment: str, seed: int | None = None, **extra) -> dict:
     meta = {
         "experiment": experiment,
-        "seed": cfg.seed if cfg.seed is not None else "none",
+        "seed": seed if seed is not None else "none",
         "version": __version__,
     }
     meta.update(extra)
     return meta
 
 
-def _out_path(cfg: RunConfig, stem: str) -> Path:
-    return cfg.out_dir / f"{stem}.{cfg.fmt}"
+def _out_path(args: argparse.Namespace, stem: str) -> Path:
+    return args.out / f"{stem}.{args.fmt}"
 
 
-def cmd_table2(cfg: RunConfig) -> int:
+def cmd_table2(args: argparse.Namespace) -> int:
     """Biased ML noise variance vs the likelihood-area maximizer on +-c data."""
     family = BasisFamily("constant", 1)
     search = OptimizerConfig(
@@ -114,15 +103,15 @@ def cmd_table2(cfg: RunConfig) -> int:
         _, sigma2_ml = ml_estimate(y, design)
         fixed = HyperParams(alpha=[], sigma_e2=1.0)
         best, _, _ = empirical_bayes_optimize(dataset, family, "log_area", search, fixed)
-        if sigma2_ml <= 1e-12:
+        if improper_prior._zero_residual(y, sigma2_ml * design.n):
             warnings.warn(
                 f"c={c}: residual is zero, area maximizer pinned at the lower bound",
                 DegenerateFitWarning,
                 stacklevel=2,
             )
         rows.append([c, float(sigma2_ml), float(best.sigma_e2)])
-    path = _out_path(cfg, "table2")
-    _write_table(path, _meta("table2", cfg), ["c", "sigma2_ml", "sigma2_area"], rows)
+    path = _out_path(args, "table2")
+    _write_table(path, _meta("table2"), ["c", "sigma2_ml", "sigma2_area"], rows)
     print("c  sigma2_ml  sigma2_area")
     for c, ml, area in rows:
         print(f"{c}  {ml:9.6f}  {area:11.6f}")
@@ -130,7 +119,7 @@ def cmd_table2(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_asymptote(cfg: RunConfig) -> int:
+def cmd_asymptote(args: argparse.Namespace) -> int:
     """log Z along a widening isotropic prior, split into its two parts."""
     y = np.array([-2.0, 2.0])
     dataset = Dataset(inputs=[[-1.0], [1.0]], outputs=y)
@@ -159,7 +148,7 @@ def cmd_asymptote(cfg: RunConfig) -> int:
                 p1.log_z - p2.log_z,
             ]
         )
-    path = _out_path(cfg, "asymptote")
+    path = _out_path(args, "asymptote")
     columns = [
         "sigma_p",
         "sigma_p2",
@@ -170,7 +159,7 @@ def cmd_asymptote(cfg: RunConfig) -> int:
         "log_Z_alt",
         "log_Z_diff",
     ]
-    _write_table(path, _meta("asymptote", cfg), columns, rows)
+    _write_table(path, _meta("asymptote"), columns, rows)
     top = rows[-1]
     print(
         f"top of ladder (sigma_p={top[0]:g}): log_Z={top[2]:.3f}, "
@@ -231,21 +220,21 @@ def run_example2(runs: int, seed: int, jobs: int = 1) -> dict:
     }
 
 
-def cmd_example2(cfg: RunConfig) -> int:
-    summary = run_example2(cfg.runs, cfg.seed, cfg.jobs)
+def cmd_example2(args: argparse.Namespace) -> int:
+    summary = run_example2(args.runs, args.seed, args.jobs)
     rep_rows = [list(row) for row in summary.pop("replicates")]
-    rep_path = _out_path(cfg, "example2_replicates")
+    rep_path = _out_path(args, "example2_replicates")
     _write_table(
         rep_path,
-        _meta("example2", cfg, runs=cfg.runs),
+        _meta("example2", args.seed, runs=args.runs),
         ["rep", "alpha1_hat", "alpha2_hat", "theta1_hat", "theta2_hat"],
         rep_rows,
     )
-    sum_path = _out_path(cfg, "example2_summary")
+    sum_path = _out_path(args, "example2_summary")
     sum_columns = list(summary.keys())
     _write_table(
         sum_path,
-        _meta("example2", cfg, runs=cfg.runs),
+        _meta("example2", args.seed, runs=args.runs),
         sum_columns,
         [[json.dumps(summary[k]) if isinstance(summary[k], list) else summary[k] for k in sum_columns]],
     )
@@ -367,15 +356,15 @@ def _verify_checks(seed: int) -> list[dict]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    checks = _verify_checks(cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = _verify_checks(args.seed)
     all_passed = all(c["passed"] for c in checks)
     report = {
-        "meta": _meta("verify", cfg),
+        "meta": _meta("verify", args.seed),
         "passed": all_passed,
         "checks": checks,
     }
-    path = cfg.out_dir / "verify_report.json"
+    path = args.out / "verify_report.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
@@ -391,41 +380,29 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=".", help="output directory (default: current)")
+    common.add_argument("--out", type=Path, default=".", help="output directory (default: current)")
     common.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), default="csv",
         help="output file format",
     )
-    sub.add_parser("table2", parents=[common], help="noise-variance estimator table")
-    sub.add_parser("asymptote", parents=[common], help="diffuse-prior evidence ladder")
+    p_t2 = sub.add_parser("table2", parents=[common], help="noise-variance estimator table")
+    p_t2.set_defaults(run=cmd_table2)
+    p_asy = sub.add_parser("asymptote", parents=[common], help="diffuse-prior evidence ladder")
+    p_asy.set_defaults(run=cmd_asymptote)
     p_ex2 = sub.add_parser("example2", parents=[common], help="two-center recovery study")
-    p_ex2.add_argument("--runs", type=int, required=True, help="number of replicates")
+    p_ex2.add_argument(
+        "--runs", type=_int_at_least(2), required=True,
+        help="number of replicates (at least 2, for a sample variance)",
+    )
     p_ex2.add_argument("--seed", type=int, required=True, help="base random seed")
-    p_ex2.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_ex2.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
+    p_ex2.set_defaults(run=cmd_example2)
     p_ver = sub.add_parser("verify", parents=[common], help="oracle cross-check suite")
     p_ver.add_argument("--seed", type=int, default=20250811, help="random seed")
+    p_ver.set_defaults(run=cmd_verify)
     args = parser.parse_args(argv)
-
-    try:
-        if args.command == "example2":
-            cfg = RunConfig(
-                out_dir=Path(args.out), fmt=args.fmt, seed=args.seed,
-                runs=args.runs, jobs=args.jobs,
-            )
-        elif args.command == "verify":
-            cfg = RunConfig(out_dir=Path(args.out), fmt=args.fmt, seed=args.seed)
-        else:
-            cfg = RunConfig(out_dir=Path(args.out), fmt=args.fmt)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    if args.command == "table2":
-        return cmd_table2(cfg)
-    if args.command == "asymptote":
-        return cmd_asymptote(cfg)
-    if args.command == "example2":
-        return cmd_example2(cfg)
-    return cmd_verify(cfg)
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.run(args)
 
 
 def entry_point() -> None:

@@ -139,10 +139,7 @@ def _cholesky_route(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """beta, posterior covariance and log det A from the Cholesky factor of A."""
     a = design.gram + sigma_e2 * (prior_inv_chol.T @ prior_inv_chol)
-    try:
-        a_chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPrior("posterior precision is not positive definite") from exc
+    a_chol = _checked_cholesky(a, SingularPrior, "posterior precision")
     beta = scipy.linalg.cho_solve((a_chol, True), design.phi.T @ shifted)
     cov = sigma_e2 * scipy.linalg.cho_solve((a_chol, True), np.eye(design.m))
     log_det_a = 2.0 * float(np.sum(np.log(np.diag(a_chol))))
@@ -262,6 +259,10 @@ def predict_at(
     mean = float(row @ posterior.mean)
     var = float(row @ posterior.cov @ row)
     if supplied:
+        if design.m != posterior.dim:
+            raise DimensionMismatch(
+                f"design has {design.m} columns but posterior is {posterior.dim}-dimensional"
+            )
         # the posterior covariance does not depend on y, so factor at y = Phi mu_p
         _check_prior(design, prior)
         fit = _ridge_fit(design.phi @ prior.mean, design, sigma_e2, prior)

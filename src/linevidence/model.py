@@ -125,8 +125,7 @@ class HyperParams:
         if alpha.ndim != 1:
             raise DimensionMismatch("alpha must be a 1-D array")
         object.__setattr__(self, "alpha", alpha)
-        if not (math.isfinite(self.sigma_e2) and self.sigma_e2 > 0):
-            raise ValueError("sigma_e2 must be a positive finite number")
+        _check_noise_var(self.sigma_e2)
         if self.prior_scale is not None and not (
             math.isfinite(self.prior_scale) and self.prior_scale > 0
         ):

@@ -146,20 +146,25 @@ def assemble_hyperparams(
         alpha = np.full(k, np.nan)
     sigma_e2 = fixed.sigma_e2 if fixed is not None else None
     prior_scale = fixed.prior_scale if fixed is not None else None
+    slots = set()
     for name, value in zip(names, values):
         _check_param_name(name)
+        # alpha1 and alpha01 name one slot, as do two copies of one name
+        slot = name if name in _VARIANCE_NAMES else int(name[5:])
+        if slot in slots:
+            raise ValueError(f"{name!r} sets a parameter that an earlier name already set")
+        slots.add(slot)
         value = float(value)
         if name == "sigma_e2":
             sigma_e2 = value
         elif name == "sigma_p2":
             prior_scale = value
         else:
-            idx = int(name[5:])
-            if idx >= k:
+            if slot >= k:
                 raise DimensionMismatch(
                     f"{name!r} is out of range for a family with {k} parameters"
                 )
-            alpha[idx] = value
+            alpha[slot] = value
     if np.any(np.isnan(alpha)):
         missing = [f"alpha{i}" for i in np.flatnonzero(np.isnan(alpha))]
         raise ValueError(f"parameters {missing} are neither fixed nor free")
@@ -222,7 +227,8 @@ def _score_design(design_for, params: HyperParams, score):
 
 
 def _positive_variances(names, values) -> bool:
-    return all(v > 0 for n, v in zip(names, values) if n in _VARIANCE_NAMES)
+    # only v <= 0 marks a point; a NaN reaches HyperParams and raises there
+    return not any(v <= 0 for n, v in zip(names, values) if n in _VARIANCE_NAMES)
 
 
 def _score_point(design_for, family, score, names, vec, fixed):

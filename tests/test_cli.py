@@ -30,9 +30,11 @@ def read_table(path):
 
 class TestTable2:
     def test_values_and_metadata(self, tmp_path):
-        with pytest.warns(DegenerateFitWarning):
+        with pytest.warns(DegenerateFitWarning) as record:
             code = main(["table2", "--out", str(tmp_path)])
         assert code == 0
+        degenerate = [str(w.message) for w in record if w.category is DegenerateFitWarning]
+        assert len(degenerate) == 1 and degenerate[0].startswith("c=0:")
         meta, header, rows = read_table(tmp_path / "table2.csv")
         assert meta["experiment"] == "table2"
         assert meta["seed"] == "none"
@@ -154,6 +156,8 @@ class TestUsageErrors:
             ["example2", "--runs", "2", "--seed", "1", "--jobs", "0"],
             ["table2", "--format", "xml"],
             ["example2", "--runs", "1", "--seed", "1"],
+            ["example2", "--runs", "2.5", "--seed", "1"],
+            ["example2", "--runs", "2", "--seed", "1", "--jobs", "-1"],
         ],
     )
     def test_exit_code_2(self, argv, tmp_path):

@@ -111,6 +111,21 @@ class TestBuildHyperPosterior:
         assert grid.failed.tolist() == [True, True, False]
         assert grid.probs.tolist() == [0.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_noise_variance_is_a_caller_error(self, bad):
+        ds, family = rbf_dataset()
+        with pytest.raises(ValueError, match="sigma_e2 must be a positive finite number"):
+            build_hyper_posterior(
+                ds, family, [[1.0, bad], [1.0, 0.09]], fixed=FIXED_RBF, names=ALPHA_SIGMA
+            )
+
+    def test_name_repeated_is_a_caller_error(self):
+        ds, family = rbf_dataset()
+        with pytest.raises(ValueError, match="already set"):
+            build_hyper_posterior(
+                ds, family, [[0.5, 1.0], [1.5, 1.0]], fixed=FIXED_RBF, names=["alpha0", "alpha0"]
+            )
+
     def test_missing_noise_variance_is_a_caller_error(self):
         ds, _ = rbf_dataset()
         with pytest.raises(ValueError, match="sigma_e2 must be supplied"):

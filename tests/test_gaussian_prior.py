@@ -11,6 +11,7 @@ from linevidence import (
     ConsistencyError,
     Dataset,
     DesignMatrix,
+    DimensionMismatch,
     GaussianBelief,
     HyperParams,
     OptimizerConfig,
@@ -217,6 +218,15 @@ class TestPredictAt:
             design=design, sigma_e2=0.8, prior=prior,
         )
         assert var > 0.0
+
+    def test_design_of_other_width_than_posterior_rejected(self):
+        prior = isotropic_prior(2, 2.0)
+        posterior = posterior_coefficients(np.zeros(6), poly_design(6, 2), 0.8, prior)
+        with pytest.raises(DimensionMismatch, match="columns"):
+            predict_at(
+                0.2, BasisFamily("polynomial", 2), [], posterior,
+                design=poly_design(6, 3), sigma_e2=0.8, prior=isotropic_prior(3, 2.0),
+            )
 
     @pytest.mark.parametrize(
         "given",
@@ -437,7 +447,7 @@ class TestExample2Designs:
         want = -(theta_hat @ theta_hat + sigma_e2 * np.trace(np.linalg.inv(design.gram))) / (2 * s)
         assert gap == pytest.approx(want, rel=1e-3)
 
-    @pytest.mark.parametrize("sigma_p2", [1e-2, 1.0, 1e4])
+    @pytest.mark.parametrize("sigma_p2", [1e-2, 1.0, 1e4, 1e8])
     def test_every_admitted_grid_design_scores(self, sigma_p2):
         ds = self.dataset(0)
         axis = np.linspace(-10.0, 10.0, 41)

@@ -180,6 +180,12 @@ class TestAssembleHyperparams:
         with pytest.raises(ValueError):
             assemble_hyperparams(["alpha0", "sigma_e2"], [1.0, 0.5], None, self.FAMILY)
 
+    @pytest.mark.parametrize("names", [["alpha0", "alpha0"], ["alpha1", "alpha01"]])
+    def test_slot_set_twice_rejected(self, names):
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
+        with pytest.raises(ValueError, match="already set"):
+            assemble_hyperparams(names, [0.5, 1.0], fixed, self.FAMILY)
+
     def test_missing_noise_var_rejected(self):
         with pytest.raises(ValueError):
             assemble_hyperparams(
@@ -373,6 +379,13 @@ class TestProfileLikelihood:
         )
         assert result.failed.tolist() == [True, True, False]
         assert result.normalized[:2].tolist() == [0.0, 0.0]
+
+    def test_nan_noise_variance_is_a_caller_error(self):
+        fixed = HyperParams(alpha=[], sigma_e2=1.0)
+        with pytest.raises(ValueError, match="sigma_e2 must be a positive finite number"):
+            profile_likelihood(
+                TWO_POINT, CONSTANT, [[math.nan], [4.0]], fixed=fixed, names=("sigma_e2",)
+            )
 
     def test_missing_noise_variance_is_a_caller_error(self):
         ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
