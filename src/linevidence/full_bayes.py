@@ -21,7 +21,14 @@ import scipy.special
 
 from . import improper_prior
 from .exceptions import AllDegenerate, NonFiniteMassWarning
-from .model import BasisFamily, Dataset, GaussianBelief, HyperParams, log_likelihood
+from .model import (
+    BasisFamily,
+    Dataset,
+    GaussianBelief,
+    HyperParams,
+    _log_likelihood_at,
+    _residual_energy,
+)
 from .selection import _design_builder, _grid_points, _score_point, assemble_hyperparams
 
 _BOUNDARY_MASS_LIMIT = 0.5
@@ -67,20 +74,26 @@ def build_hyper_posterior(
     least two values bound that box; a grid on which no axis varies is one
     point, all of it boundary.
 
-    The design depends on the basis parameters alone, and consecutive points
-    with equal alpha share one design build.  A grid that lists the variances
-    innermost, as ``itertools.product(alpha_axes..., sigma_axis)`` does, builds
+    The design and its flat-prior fit (theta_hat, residual sum of squares,
+    log det and inverse of Phi^T Phi) depend on the basis parameters alone:
+    consecutive points with equal alpha share one design build and one fit,
+    and each of their sigma_e2 values costs arithmetic only.  A grid that
+    lists the variances innermost, as
+    ``itertools.product(alpha_axes..., sigma_axis)`` does, builds and fits
     each admissible design once (a degenerate one raises again at every
-    point); with a variance outermost every point builds its own.  Weights
-    and posteriors do not depend on the order.
+    point); with a variance outermost every point builds and fits its own.
+    Weights and posteriors do not depend on the order.
     """
     names, points = _grid_points(family, eta_points, names)
-    y = dataset.outputs
+    fit = None
 
     def weigh(params: HyperParams, design) -> tuple[float, GaussianBelief]:
+        nonlocal fit
+        if fit is None or fit.design is not design:
+            fit = improper_prior._flat_fit(dataset.outputs, design, posterior=True)
         return (
-            improper_prior.log_area_under_likelihood(y, design, params.sigma_e2).log_value,
-            improper_prior.posterior_coefficients(y, design, params.sigma_e2),
+            improper_prior._area_report(fit, params.sigma_e2).log_value,
+            improper_prior._flat_posterior(fit, params.sigma_e2),
         )
 
     design_for = _design_builder(dataset, family)
@@ -153,19 +166,24 @@ def averaged_model_loglik(
 
     Evaluated by log-sum-exp; grid points with zero probability are skipped,
     so flagged degenerate points never contribute.  A degenerate design at a
-    point with mass raises.  As in :func:`build_hyper_posterior`, consecutive
-    points with equal alpha share one design build, so the grid's order sets
-    how many designs are built but not the result.
+    point with mass raises, and so does a ``theta`` of the wrong length.  As in
+    :func:`build_hyper_posterior`, consecutive points with equal alpha share
+    one design build and one residual ``||y - Phi theta||^2``, and each of
+    their sigma_e2 values costs arithmetic only, so the grid's order sets how
+    many designs are built but not the result.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     design_for = _design_builder(dataset, family)
+    held, energy = None, None
     terms = []
     for i in range(grid.size):
         p = grid.probs[i]
         if p <= 0.0:
             continue
         params = assemble_hyperparams(list(grid.names), grid.points[i], grid.fixed, family)
-        ll = log_likelihood(dataset.outputs, design_for(params.alpha), theta, params.sigma_e2)
+        design = design_for(params.alpha)
+        if design is not held:
+            held, energy = design, _residual_energy(dataset.outputs, design, theta)
+        ll = _log_likelihood_at(design.n, energy, params.sigma_e2)
         terms.append(math.log(p) + ll)
     if not terms:
         raise AllDegenerate("no usable grid points")

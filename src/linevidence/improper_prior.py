@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,12 +73,48 @@ class EvidenceReport:
         )
 
 
+class _FlatFit(NamedTuple):
+    """The sigma_e2-free part of the flat-prior fit of one design."""
+
+    design: DesignMatrix
+    theta_hat: np.ndarray
+    rss: float
+    log_det_gram: float
+    inv_gram: np.ndarray | None
+
+
+def _flat_fit(y: np.ndarray, design: DesignMatrix, posterior: bool = False) -> _FlatFit:
+    """Fit checked outputs ``y`` once; ``(Phi^T Phi)^{-1}`` only for a posterior.
+
+    Every sigma_e2 then costs only :func:`_area_report` or
+    :func:`_flat_posterior` arithmetic.
+    """
+    theta_hat, rss = _residual_sum_of_squares(y, design)
+    inv_gram = design.inv_gram() if posterior else None
+    return _FlatFit(design, theta_hat, rss, design.log_det_gram, inv_gram)
+
+
+def _area_report(fit: _FlatFit, sigma_e2: float) -> EvidenceReport:
+    """log S of a fit at one checked sigma_e2."""
+    design, rss = fit.design, fit.rss
+    # perfbench/check_smoke.py perturbs the next line to prove wrong scores fail
+    fitting = rss / (2.0 * sigma_e2)
+    penalty = 0.5 * fit.log_det_gram
+    constant = 0.5 * (design.n - design.m) * np.log(2.0 * np.pi * sigma_e2)
+    return EvidenceReport.from_terms(fitting, penalty, float(constant))
+
+
+def _flat_posterior(fit: _FlatFit, sigma_e2: float) -> GaussianBelief:
+    """Posterior of a fit made with ``posterior=True``, at one checked sigma_e2."""
+    # each belief owns its mean, as if it had been fitted alone
+    return GaussianBelief(mean=fit.theta_hat.copy(), cov=sigma_e2 * fit.inv_gram)
+
+
 def posterior_coefficients(y, design: DesignMatrix, sigma_e2: float) -> GaussianBelief:
     """Flat-prior posterior over theta: N(theta_hat, sigma_e2 (Phi^T Phi)^{-1})."""
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
-    theta_hat = design.solve_gram(design.phi.T @ y)
-    return GaussianBelief(mean=theta_hat, cov=sigma_e2 * design.inv_gram())
+    return _flat_posterior(_flat_fit(y, design, posterior=True), sigma_e2)
 
 
 def smooth(y, design: DesignMatrix, sigma_e2: float) -> GaussianBelief:
@@ -118,11 +155,7 @@ def log_area_under_likelihood(y, design: DesignMatrix, sigma_e2: float) -> Evide
     """
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
-    _, rss = _residual_sum_of_squares(y, design)
-    fitting = rss / (2.0 * sigma_e2)
-    penalty = 0.5 * design.log_det_gram
-    constant = 0.5 * (design.n - design.m) * np.log(2.0 * np.pi * sigma_e2)
-    return EvidenceReport.from_terms(fitting, penalty, float(constant))
+    return _area_report(_flat_fit(y, design), sigma_e2)
 
 
 def _zero_residual(y: np.ndarray, rss: float) -> bool:

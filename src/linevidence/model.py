@@ -285,17 +285,24 @@ def build_design_matrix(dataset: Dataset, family: BasisFamily, alpha) -> DesignM
 
 def log_likelihood(y, design: DesignMatrix, theta, sigma_e2: float) -> float:
     """Gaussian log likelihood log p(y | theta, sigma_e2), in log domain throughout."""
+    energy = _residual_energy(y, design, theta)
+    _check_noise_var(sigma_e2)
+    return _log_likelihood_at(design.n, energy, sigma_e2)
+
+
+def _residual_energy(y, design: DesignMatrix, theta) -> float:
+    """``||y - Phi theta||^2`` after the length checks of ``y`` and ``theta``."""
     y = _check_outputs(y, design)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (design.m,):
         raise DimensionMismatch(f"theta must have length {design.m}")
-    _check_noise_var(sigma_e2)
     resid = y - design.phi @ theta
-    n = design.n
-    return float(
-        -0.5 * n * np.log(2.0 * np.pi * sigma_e2)
-        - 0.5 * float(resid @ resid) / sigma_e2
-    )
+    return float(resid @ resid)
+
+
+def _log_likelihood_at(n: int, energy: float, sigma_e2: float) -> float:
+    """:func:`log_likelihood` from its residual energy, at one checked sigma_e2."""
+    return float(-0.5 * n * np.log(2.0 * np.pi * sigma_e2) - 0.5 * energy / sigma_e2)
 
 
 def ml_estimate(y, design: DesignMatrix) -> tuple[np.ndarray, float]:

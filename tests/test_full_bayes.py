@@ -19,6 +19,7 @@ from linevidence import (
     build_design_matrix,
     build_hyper_posterior,
     flat_posterior_coefficients,
+    log_area_under_likelihood,
     log_likelihood,
     sample_posterior,
 )
@@ -219,6 +220,57 @@ class TestBuildHyperPosterior:
                 np.testing.assert_array_equal(mine.mean, theirs.mean)
                 np.testing.assert_array_equal(mine.cov, theirs.cov)
 
+    @pytest.mark.parametrize("sigma_outermost", [False, True], ids=["sigma-inner", "sigma-outer"])
+    def test_each_point_equals_the_public_flat_scores(self, sigma_outermost):
+        ds, _ = rbf_dataset()
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.09)
+        axis, sigmas = [0.0, 1.0, 2.0], [0.05, 0.09, 0.2]
+        if sigma_outermost:
+            names = ["sigma_e2", "alpha0", "alpha1"]
+            points = np.array(list(itertools.product(sigmas, axis, axis)))
+        else:
+            names = ["alpha0", "alpha1", "sigma_e2"]
+            points = np.array(list(itertools.product(axis, axis, sigmas)))
+        with pytest.warns(NonFiniteMassWarning):
+            grid = build_hyper_posterior(ds, family, points, fixed=fixed, names=names)
+        assert grid.failed.sum() == 9
+        for point, log_weight, belief in zip(points, grid.log_weights, grid.posteriors):
+            at = dict(zip(names, point))
+            alpha, sigma_e2 = [at["alpha0"], at["alpha1"]], at["sigma_e2"]
+            if alpha[0] == alpha[1]:
+                assert log_weight == -math.inf and belief is None
+                continue
+            design = build_design_matrix(ds, family, alpha)
+            area = log_area_under_likelihood(ds.outputs, design, sigma_e2)
+            want = flat_posterior_coefficients(ds.outputs, design, sigma_e2)
+            assert log_weight == area.log_value
+            np.testing.assert_array_equal(belief.mean, want.mean)
+            np.testing.assert_array_equal(belief.cov, want.cov)
+
+    def test_sigma_innermost_fits_each_admissible_design_once(self, monkeypatch):
+        ds, _ = rbf_dataset()
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.09)
+        axis = [0.0, 1.0, 2.0]
+        points = np.array(list(itertools.product(axis, axis, [0.05, 0.09, 0.2, 0.4])))
+        original = linevidence.improper_prior._flat_fit
+        fitted = []
+
+        def counted(y, design, *args, **kwargs):
+            fitted.append(design.phi)
+            return original(y, design, *args, **kwargs)
+
+        monkeypatch.setattr(linevidence.improper_prior, "_flat_fit", counted)
+        with pytest.warns(NonFiniteMassWarning):
+            build_hyper_posterior(
+                ds, family, points, fixed=fixed, names=["alpha0", "alpha1", "sigma_e2"]
+            )
+        admissible = [[a, b] for a, b in itertools.product(axis, axis) if a != b]
+        assert len(fitted) == len(admissible) == 6
+        for phi, alpha in zip(fitted, admissible):
+            np.testing.assert_array_equal(phi, build_design_matrix(ds, family, alpha).phi)
+
     def test_two_center_mass_concentrates_at_truth(self):
         rng = np.random.default_rng(11)
         n = 200
@@ -351,6 +403,13 @@ class TestAveragedModelLoglik:
         coincident = Dataset(inputs=[[0.0], [0.0], [0.0]], outputs=[0.0, 1.0, 0.0])
         with pytest.raises(RankDeficient):
             averaged_model_loglik(grid, coincident, family, [1.0, 1.0])
+
+    def test_wrong_length_theta_raises(self):
+        ds, family = rbf_dataset()
+        points = alpha_sigma_grid([0.6, 1.0, 1.4], [0.04, 0.055, 0.07])
+        grid = build_hyper_posterior(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
+        with pytest.raises(DimensionMismatch, match="theta must have length 1"):
+            averaged_model_loglik(grid, ds, family, [2.0, 1.0])
 
     def test_bounded_by_componentwise_extremes(self):
         ds, family = rbf_dataset()
