@@ -29,7 +29,7 @@ from .model import (
     _log_likelihood_at,
     _residual_energy,
 )
-from .selection import _design_builder, _grid_points, _score_point, assemble_hyperparams
+from .selection import _design_builder, _score_design, _Sweep
 
 _BOUNDARY_MASS_LIMIT = 0.5
 
@@ -74,6 +74,11 @@ def build_hyper_posterior(
     least two values bound that box; a grid on which no axis varies is one
     point, all of it boundary.
 
+    ``names``, ``fixed`` and ``family`` are checked once for the whole grid,
+    with the messages of :func:`~linevidence.selection.assemble_hyperparams`.
+    A point is then checked only for its own values: a NaN or infinite
+    variance or alpha raises; no ``HyperParams`` is built per point.
+
     The design and its flat-prior fit (theta_hat, residual sum of squares,
     log det and inverse of Phi^T Phi) depend on the basis parameters alone:
     consecutive points with equal alpha share one design build and one fit,
@@ -84,20 +89,21 @@ def build_hyper_posterior(
     point); with a variance outermost every point builds and fits its own.
     Weights and posteriors do not depend on the order.
     """
-    names, points = _grid_points(family, eta_points, names)
+    sweep = _Sweep(names, fixed, family)
+    points = sweep.grid(eta_points)
     fit = None
 
-    def weigh(params: HyperParams, design) -> tuple[float, GaussianBelief]:
+    def weigh(design, sigma_e2: float, *_) -> tuple[float, GaussianBelief]:
         nonlocal fit
         if fit is None or fit.design is not design:
             fit = improper_prior._flat_fit(dataset.outputs, design, posterior=True)
         return (
-            improper_prior._area_report(fit, params.sigma_e2).log_value,
-            improper_prior._flat_posterior(fit, params.sigma_e2),
+            improper_prior._area_report(fit, sigma_e2).log_value,
+            improper_prior._flat_posterior(fit, sigma_e2),
         )
 
     design_for = _design_builder(dataset, family)
-    scored = [_score_point(design_for, family, weigh, names, vec, fixed) for vec in points]
+    scored = [_score_design(design_for, sweep.at(vec), weigh) for vec in points]
     failed = np.array([s is None for s in scored])
     if np.all(failed):
         raise AllDegenerate("every grid point has weight zero")
@@ -120,7 +126,7 @@ def build_hyper_posterior(
         )
     return HyperPosteriorGrid(
         points=points,
-        names=tuple(names),
+        names=tuple(sweep.names),
         fixed=fixed,
         log_weights=log_weights,
         probs=probs,
@@ -170,8 +176,10 @@ def averaged_model_loglik(
     :func:`build_hyper_posterior`, consecutive points with equal alpha share
     one design build and one residual ``||y - Phi theta||^2``, and each of
     their sigma_e2 values costs arithmetic only, so the grid's order sets how
-    many designs are built but not the result.
+    many designs are built but not the result.  The grid's names and fixed
+    baseline are checked against ``family`` once, not at every point.
     """
+    sweep = _Sweep(grid.names, grid.fixed, family)
     design_for = _design_builder(dataset, family)
     held, energy = None, None
     terms = []
@@ -179,11 +187,11 @@ def averaged_model_loglik(
         p = grid.probs[i]
         if p <= 0.0:
             continue
-        params = assemble_hyperparams(list(grid.names), grid.points[i], grid.fixed, family)
-        design = design_for(params.alpha)
+        alpha, sigma_e2, _ = sweep.at(grid.points[i])
+        design = design_for(alpha)
         if design is not held:
             held, energy = design, _residual_energy(dataset.outputs, design, theta)
-        ll = _log_likelihood_at(design.n, energy, params.sigma_e2)
+        ll = _log_likelihood_at(design.n, energy, sigma_e2)
         terms.append(math.log(p) + ll)
     if not terms:
         raise AllDegenerate("no usable grid points")

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
-from . import gaussian_prior, improper_prior
+from . import gaussian_prior, improper_prior, model
 from .exceptions import (
     AllDegenerate,
     DegenerateDof,
@@ -30,7 +30,7 @@ from .model import BasisFamily, Dataset, HyperParams, build_design_matrix, log_l
 SCORE_KINDS = ("proper", "fake")
 OBJECTIVES = ("log_area", "log_marginal")
 
-_VARIANCE_NAMES = ("sigma_e2", "sigma_p2")
+_VARIANCE_SLOTS = {"sigma_e2": -2, "sigma_p2": -1}
 
 # Failures that mark one sweep point as degenerate.  Anything else, such as a
 # ValueError from malformed caller input, propagates out of the sweep.
@@ -102,7 +102,7 @@ class OptimizerConfig:
         if not self.bounds:
             raise ValueError("bounds must name at least one free parameter")
         for name, (lo, hi) in self.bounds.items():
-            _check_param_name(name)
+            _slot(name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds for {name!r} must be finite with lo < hi")
         if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
@@ -116,14 +116,92 @@ class OptimizerConfig:
                 raise ValueError("ordering names must appear in bounds")
 
 
-def _check_param_name(name: str) -> None:
-    if name in _VARIANCE_NAMES:
-        return
+def _slot(name: str) -> int:
+    """Where ``name`` sits in a merged point: a variance at -2 or -1, alpha i at i.
+
+    ``alpha1`` and ``alpha01`` name one slot.
+    """
+    if name in _VARIANCE_SLOTS:
+        return _VARIANCE_SLOTS[name]
     if name.startswith("alpha") and name[5:].isdigit():
-        return
+        return int(name[5:])
     raise ValueError(
         f"unrecognized parameter name {name!r}; use alpha<i>, sigma_e2 or sigma_p2"
     )
+
+
+class _Sweep:
+    """A sweep's free names, compiled once against its fixed baseline and family.
+
+    Construction makes, once per sweep, the checks of :func:`assemble_hyperparams`
+    that do not depend on a point's values.  Each point merges over the baseline
+    into one vector: the alphas, then sigma_e2 and sigma_p2.  ``names`` defaults
+    to every alpha; ``ordering`` holds (low, high) name pairs to keep increasing.
+    """
+
+    def __init__(self, names, fixed: HyperParams | None, family: BasisFamily, ordering=()):
+        k = family.param_count
+        self.names = [f"alpha{i}" for i in range(k)] if names is None else list(names)
+        # NaN marks a slot that is neither fixed nor, yet, free
+        self._base = np.full(k + 2, np.nan)
+        if fixed is not None:
+            if fixed.alpha.size != k:
+                raise DimensionMismatch(
+                    f"fixed alpha has length {fixed.alpha.size}, family expects {k}"
+                )
+            self._base[:k], self._base[-2] = fixed.alpha, fixed.sigma_e2
+            if fixed.prior_scale is not None:
+                self._base[-1] = fixed.prior_scale
+        self._slots = []
+        for name in self.names:
+            slot = _slot(name)
+            if slot in self._slots:
+                raise ValueError(f"{name!r} sets a parameter that an earlier name already set")
+            if slot >= k:
+                raise DimensionMismatch(
+                    f"{name!r} is out of range for a family with {k} parameters"
+                )
+            self._slots.append(slot)
+        unset = np.isnan(self._base)
+        unset[self._slots] = False
+        if np.any(unset[:k]):
+            missing = [f"alpha{i}" for i in np.flatnonzero(unset[:k])]
+            raise ValueError(f"parameters {missing} are neither fixed nor free")
+        if unset[-2]:
+            raise ValueError("sigma_e2 must be supplied either fixed or free")
+        self.has_prior_scale = not unset[-1]
+        self._ordering = [(self.names.index(lo), self.names.index(hi)) for lo, hi in ordering]
+
+    def grid(self, eta_points) -> np.ndarray:
+        """``eta_points`` as a (K, len(names)) array."""
+        points = np.atleast_2d(np.asarray(eta_points, dtype=float))
+        if points.shape[1] != len(self.names):
+            raise DimensionMismatch(
+                f"eta points have {points.shape[1]} columns for {len(self.names)} names"
+            )
+        return points
+
+    def _merge(self, vec):
+        """The unchecked ``(alpha, sigma_e2, prior_scale)`` of one point; alpha is new."""
+        merged = self._base.copy()
+        merged[self._slots] = vec
+        prior_scale = float(merged[-1]) if self.has_prior_scale else None
+        return merged[:-2], float(merged[-2]), prior_scale
+
+    def at(self, vec: np.ndarray):
+        """``(alpha, sigma_e2, prior_scale)`` at one point, or None where it is infeasible.
+
+        A nonpositive variance or a broken ordering makes a point infeasible;
+        a NaN or infinite variance raises.
+        """
+        alpha, sigma_e2, prior_scale = self._merge(vec)
+        if sigma_e2 <= 0 or (prior_scale is not None and prior_scale <= 0):
+            return None
+        for lo, hi in self._ordering:
+            if not vec[lo] < vec[hi]:
+                return None
+        model._check_variances(sigma_e2, prior_scale)
+        return alpha, sigma_e2, prior_scale
 
 
 def assemble_hyperparams(
@@ -132,67 +210,44 @@ def assemble_hyperparams(
     fixed: HyperParams | None,
     family: BasisFamily,
 ) -> HyperParams:
-    """Merge free parameter values over the fixed baseline into a HyperParams."""
+    """Merge free parameter values over the fixed baseline into a HyperParams.
+
+    The checks on ``names``, ``fixed`` and ``family`` are the ones every sweep
+    makes once, before its first point: the fixed alpha's length, known names,
+    no slot set twice, alphas in range, every alpha and sigma_e2 either fixed
+    or free.  The merged values then get every check of ``HyperParams``, so a
+    nonpositive variance raises here, where a sweep flags its point instead.
+    """
     if len(names) != len(values):
         raise DimensionMismatch("names and values must have equal length")
-    k = family.param_count
-    if fixed is not None:
-        if fixed.alpha.size != k:
-            raise DimensionMismatch(
-                f"fixed alpha has length {fixed.alpha.size}, family expects {k}"
-            )
-        alpha = fixed.alpha.astype(float).copy()
-    else:
-        alpha = np.full(k, np.nan)
-    sigma_e2 = fixed.sigma_e2 if fixed is not None else None
-    prior_scale = fixed.prior_scale if fixed is not None else None
-    slots = set()
-    for name, value in zip(names, values):
-        _check_param_name(name)
-        # alpha1 and alpha01 name one slot, as do two copies of one name
-        slot = name if name in _VARIANCE_NAMES else int(name[5:])
-        if slot in slots:
-            raise ValueError(f"{name!r} sets a parameter that an earlier name already set")
-        slots.add(slot)
-        value = float(value)
-        if name == "sigma_e2":
-            sigma_e2 = value
-        elif name == "sigma_p2":
-            prior_scale = value
-        else:
-            if slot >= k:
-                raise DimensionMismatch(
-                    f"{name!r} is out of range for a family with {k} parameters"
-                )
-            alpha[slot] = value
-    if np.any(np.isnan(alpha)):
-        missing = [f"alpha{i}" for i in np.flatnonzero(np.isnan(alpha))]
-        raise ValueError(f"parameters {missing} are neither fixed nor free")
-    if sigma_e2 is None:
-        raise ValueError("sigma_e2 must be supplied either fixed or free")
-    return HyperParams(alpha=alpha, sigma_e2=sigma_e2, prior_scale=prior_scale)
+    return HyperParams(*_Sweep(names, fixed, family)._merge(values))
+
+
+def _check_objective(objective: str, has_prior_scale: bool) -> None:
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    if objective == "log_marginal" and not has_prior_scale:
+        raise ValueError("log_marginal objective requires prior_scale")
 
 
 def evaluate_objective(
     dataset: Dataset, family: BasisFamily, params: HyperParams, objective: str
 ) -> float:
     """Score one hyperparameter setting; -inf for degenerate candidates."""
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
-    if objective == "log_marginal" and params.prior_scale is None:
-        raise ValueError("log_marginal objective requires prior_scale")
+    _check_objective(objective, params.prior_scale is not None)
 
-    def score(params: HyperParams, design) -> float:
+    def score(design, sigma_e2: float, prior_scale: float | None) -> float:
         if objective == "log_area":
             return improper_prior.log_area_under_likelihood(
-                dataset.outputs, design, params.sigma_e2
+                dataset.outputs, design, sigma_e2
             ).log_value
-        prior = gaussian_prior.isotropic_prior(design.m, params.prior_scale)
+        prior = gaussian_prior.isotropic_prior(design.m, prior_scale)
         return gaussian_prior.log_marginal_likelihood(
-            dataset.outputs, design, params.sigma_e2, prior
+            dataset.outputs, design, sigma_e2, prior
         ).log_value
 
-    value = _score_design(_design_builder(dataset, family), params, score)
+    point = (params.alpha, params.sigma_e2, params.prior_scale)
+    value = _score_design(_design_builder(dataset, family), point, score)
     return -math.inf if value is None else value
 
 
@@ -218,25 +273,19 @@ def _design_builder(dataset: Dataset, family: BasisFamily):
     return design_for
 
 
-def _score_design(design_for, params: HyperParams, score):
-    """``score(params, design)``, or None when the design or its score is degenerate."""
+def _score_design(design_for, point, score):
+    """``score(design, sigma_e2, prior_scale)`` at ``point = (alpha, sigma_e2, prior_scale)``.
+
+    None where the point is None, as ``_Sweep.at`` gives for an infeasible
+    one, or where its design or score is degenerate.
+    """
+    if point is None:
+        return None
+    alpha, sigma_e2, prior_scale = point
     try:
-        return score(params, design_for(params.alpha))
+        return score(design_for(alpha), sigma_e2, prior_scale)
     except _DEGENERATE:
         return None
-
-
-def _positive_variances(names, values) -> bool:
-    # only v <= 0 marks a point; a NaN reaches HyperParams and raises there
-    return not any(v <= 0 for n, v in zip(names, values) if n in _VARIANCE_NAMES)
-
-
-def _score_point(design_for, family, score, names, vec, fixed):
-    """``_score_design`` at one sweep point; None also where a variance is nonpositive."""
-    if not _positive_variances(names, vec):
-        return None
-    params = assemble_hyperparams(names, vec, fixed, family)
-    return _score_design(design_for, params, score)
 
 
 # Private, like the scorers above: a traced run wraps every public function, and
@@ -269,31 +318,6 @@ def _grid_then_polish(score, points, bounds, options):
     return np.array(values), best_vec, best_value
 
 
-def _grid_points(
-    family: BasisFamily, eta_points, names: Sequence[str] | None
-) -> tuple[list[str], np.ndarray]:
-    """Grid points as a (K, len(names)) array; names default to every alpha."""
-    if names is None:
-        names = [f"alpha{i}" for i in range(family.param_count)]
-    names = list(names)
-    points = np.atleast_2d(np.asarray(eta_points, dtype=float))
-    if points.shape[1] != len(names):
-        raise DimensionMismatch(
-            f"eta points have {points.shape[1]} columns for {len(names)} names"
-        )
-    return names, points
-
-
-def _feasible(names, values, config: OptimizerConfig) -> bool:
-    if not _positive_variances(names, values):
-        return False
-    by_name = dict(zip(names, values))
-    for lo_name, hi_name in config.ordering:
-        if not by_name[lo_name] < by_name[hi_name]:
-            return False
-    return True
-
-
 def empirical_bayes_optimize(
     dataset: Dataset,
     family: BasisFamily,
@@ -313,16 +337,17 @@ def empirical_bayes_optimize(
 
     Returns ``(best_params, best_value, trace)``.
     """
-    names = list(config.bounds)
+    sweep = _Sweep(config.bounds, fixed, family, config.ordering)
+    _check_objective(objective, sweep.has_prior_scale)
     axes = [np.linspace(lo, hi, config.grid_points) for lo, hi in config.bounds.values()]
     trace: list[tuple[dict, float]] = []
 
     def score(vec: np.ndarray) -> float | None:
-        if not _feasible(names, vec, config):
+        point = sweep.at(vec)
+        if point is None:
             return None
-        params = assemble_hyperparams(names, vec, fixed, family)
-        value = evaluate_objective(dataset, family, params, objective)
-        trace.append((dict(zip(names, (float(v) for v in vec))), value))
+        value = evaluate_objective(dataset, family, HyperParams(*point), objective)
+        trace.append((dict(zip(sweep.names, (float(v) for v in vec))), value))
         return value
 
     _, best_vec, best_value = _grid_then_polish(
@@ -337,8 +362,7 @@ def empirical_bayes_optimize(
     )
     if best_vec is None:
         raise EmptyFeasibleGrid("constraints exclude every grid point")
-    best = assemble_hyperparams(names, best_vec, fixed, family)
-    return best, best_value, trace
+    return HyperParams(*sweep.at(best_vec)), best_value, trace
 
 
 @dataclass(frozen=True)
@@ -370,21 +394,20 @@ def profile_likelihood(
     degenerate design are flagged in ``failed`` and get zero weight rather
     than failing the whole sweep.
     """
-    names, points = _grid_points(family, eta_points, names)
+    sweep = _Sweep(names, fixed, family)
+    points = sweep.grid(eta_points)
 
-    def profiled(params: HyperParams, design) -> float:
+    def profiled(design, sigma_e2: float, *_) -> float:
         theta_hat, _ = ml_estimate(dataset.outputs, design)
-        return log_likelihood(dataset.outputs, design, theta_hat, params.sigma_e2)
+        return log_likelihood(dataset.outputs, design, theta_hat, sigma_e2)
 
     # a fresh builder per point keeps one build per evaluation; the grid
     # points are distinct, so a shared builder would save nothing
     log_values, _, log_max = _grid_then_polish(
-        lambda vec: _score_point(
-            _design_builder(dataset, family), family, profiled, names, vec, fixed
-        ),
+        lambda vec: _score_design(_design_builder(dataset, family), sweep.at(vec), profiled),
         points,
         None,
-        {"xatol": 1e-8, "fatol": 1e-12, "maxfev": 400 * max(1, len(names))},
+        {"xatol": 1e-8, "fatol": 1e-12, "maxfev": 400 * max(1, len(sweep.names))},
     )
     failed = log_values == -math.inf
     if np.all(failed):
@@ -393,7 +416,7 @@ def profile_likelihood(
     normalized[failed] = 0.0
     return ProfileResult(
         points=points,
-        names=tuple(names),
+        names=tuple(sweep.names),
         log_values=log_values,
         normalized=normalized,
         log_max=log_max,

@@ -21,6 +21,7 @@ from linevidence import (
     flat_posterior_coefficients,
     log_area_under_likelihood,
     log_likelihood,
+    profile_likelihood,
     sample_posterior,
 )
 
@@ -38,6 +39,12 @@ def rbf_dataset(seed=7, n=40, center=1.0):
 
 FIXED_RBF = HyperParams(alpha=[0.0], sigma_e2=0.09)
 ALPHA_SIGMA = ["alpha0", "sigma_e2"]
+# what a NaN or inf in each column of a sweep's points raises
+NONFINITE_MESSAGES = {
+    "alpha0": "alpha must contain only finite values",
+    "sigma_e2": "sigma_e2 must be a positive finite number",
+    "sigma_p2": "prior_scale must be positive and finite when given",
+}
 
 
 @pytest.fixture
@@ -112,13 +119,29 @@ class TestBuildHyperPosterior:
         assert grid.failed.tolist() == [True, True, False]
         assert grid.probs.tolist() == [0.0, 0.0, 1.0]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_nonfinite_noise_variance_is_a_caller_error(self, bad):
+    @pytest.mark.parametrize(
+        "sweep, column, bad",
+        [
+            pytest.param(build_hyper_posterior, "sigma_e2", math.nan, id="nan"),
+            pytest.param(build_hyper_posterior, "sigma_e2", math.inf, id="inf"),
+            *(
+                pytest.param(sweep, column, bad, id=f"{sweep.__name__}-{column}-{bad}")
+                for sweep in (build_hyper_posterior, profile_likelihood)
+                for column in NONFINITE_MESSAGES
+                for bad in (math.nan, math.inf)
+                if (sweep, column) != (build_hyper_posterior, "sigma_e2")
+            ),
+        ],
+    )
+    def test_nonfinite_noise_variance_is_a_caller_error(self, sweep, column, bad):
+        # a sweep flags a nonpositive variance, but NaN or inf in any column
+        # is malformed input and raises, whichever columns vary per point
         ds, family = rbf_dataset()
-        with pytest.raises(ValueError, match="sigma_e2 must be a positive finite number"):
-            build_hyper_posterior(
-                ds, family, [[1.0, bad], [1.0, 0.09]], fixed=FIXED_RBF, names=ALPHA_SIGMA
-            )
+        names = list(NONFINITE_MESSAGES)
+        good = [1.0, 0.09, 2.0]
+        row = [bad if name == column else v for name, v in zip(names, good)]
+        with pytest.raises(ValueError, match=NONFINITE_MESSAGES[column]):
+            sweep(ds, family, [row, good], fixed=FIXED_RBF, names=names)
 
     def test_name_repeated_is_a_caller_error(self):
         ds, family = rbf_dataset()
@@ -164,6 +187,24 @@ class TestBuildHyperPosterior:
         design_builds.clear()
         averaged_model_loglik(grid, ds, family, [2.0])
         assert 1 <= len(design_builds) <= 5
+
+    def test_sweeps_build_no_hyperparams_per_point(self, monkeypatch):
+        # names, the fixed baseline and the family are checked once per sweep;
+        # no point of these sweeps builds and validates a HyperParams
+        ds, family = rbf_dataset()
+        points = alpha_sigma_grid(np.linspace(0.0, 2.0, 9), np.linspace(0.04, 0.2, 9))
+        built = []
+        original = HyperParams.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(HyperParams, "__post_init__", counted)
+        grid = build_hyper_posterior(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
+        averaged_model_loglik(grid, ds, family, [2.0])
+        profile_likelihood(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
+        assert built == []
 
     def test_degenerate_alpha_between_equal_alphas(self):
         # B has equal centers: it must fail at both of its points, and the

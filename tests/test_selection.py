@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from linevidence import selection
 from linevidence import (
     AllDegenerate,
     BasisFamily,
@@ -323,6 +324,63 @@ class TestEmpiricalBayesOptimize:
         fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
         with pytest.raises(EmptyFeasibleGrid):
             empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
+
+    @pytest.mark.parametrize(
+        "objective, free, error",
+        [
+            ("evidence", {}, ValueError),
+            ("log_marginal", {}, ValueError),
+            ("log_marginal", {"sigma_p2": (0.5, 2.0)}, EmptyFeasibleGrid),
+        ],
+    )
+    def test_objective_checked_before_the_grid(self, objective, free, error):
+        # the ordering excludes every grid point, so no point is ever scored;
+        # a free sigma_p2 supplies the prior scale that log_marginal needs
+        ds = Dataset(inputs=[[-1.0], [0.0], [1.0]], outputs=[1.0, 0.0, 1.0])
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        config = OptimizerConfig(
+            bounds={"alpha0": (5.0, 10.0), "alpha1": (0.0, 4.0), **free},
+            grid_points=3,
+            ordering=(("alpha0", "alpha1"),),
+        )
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
+        with pytest.raises(error):
+            empirical_bayes_optimize(ds, family, objective, config, fixed=fixed)
+
+    def test_objective_scored_once_per_feasible_point(self, monkeypatch):
+        # each grid and refine point that passes the feasibility checks is
+        # scored by exactly one evaluate_objective call on a checked HyperParams
+        ds = Dataset(inputs=[[-1.0], [0.0], [1.0], [2.0]], outputs=[1.0, 0.0, 1.0, 0.5])
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        config = OptimizerConfig(
+            bounds={"alpha0": (-1.0, 2.0), "alpha1": (-1.0, 2.0)},
+            grid_points=5,
+            ordering=(("alpha0", "alpha1"),),
+            max_evals=50,
+        )
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
+        scored, built = [], []
+        evaluate, post_init = selection.evaluate_objective, HyperParams.__post_init__
+
+        def counted_evaluate(dataset, family, params, objective):
+            scored.append(params)
+            return evaluate(dataset, family, params, objective)
+
+        def counted_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(selection, "evaluate_objective", counted_evaluate)
+        monkeypatch.setattr(HyperParams, "__post_init__", counted_post_init)
+        best, _, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
+        assert len(scored) == len(trace) > 10
+        # the 10 strictly increasing pairs of the 5 x 5 grid come first
+        assert [tuple(p.alpha) for p in scored[:10]] == [
+            (p["alpha0"], p["alpha1"]) for p, _ in trace[:10]
+        ]
+        assert all(p["alpha0"] < p["alpha1"] for p, _ in trace[:10])
+        # one HyperParams per scored point, and one for the result
+        assert [id(p) for p in built] == [id(p) for p in scored + [best]]
 
     def test_exact_tie_keeps_first_grid_point(self):
         # two coincident inputs make the objective an even function of the
