@@ -49,6 +49,8 @@ from .model import (
     _check_noise_var,
     _check_outputs,
     _checked_cholesky,
+    _cho_solve,
+    _log_det_from_factor,
     feature_vector,
 )
 
@@ -130,7 +132,7 @@ def _qr_route(
     beta = scipy.linalg.solve_triangular(r, r_full[:m, m])
     r_inv = scipy.linalg.solve_triangular(r, np.eye(m))
     cov = sigma_e2 * (r_inv @ r_inv.T)
-    log_det_a = 2.0 * float(np.sum(np.log(np.abs(np.diag(r)))))
+    log_det_a = _log_det_from_factor(r)
     return beta, 0.5 * (cov + cov.T), log_det_a, np.linalg.svd(r, compute_uv=False)
 
 
@@ -140,9 +142,9 @@ def _cholesky_route(
     """beta, posterior covariance and log det A from the Cholesky factor of A."""
     a = design.gram + sigma_e2 * (prior_inv_chol.T @ prior_inv_chol)
     a_chol = _checked_cholesky(a, SingularPrior, "posterior precision")
-    beta = scipy.linalg.cho_solve((a_chol, True), design.phi.T @ shifted)
-    cov = sigma_e2 * scipy.linalg.cho_solve((a_chol, True), np.eye(design.m))
-    log_det_a = 2.0 * float(np.sum(np.log(np.diag(a_chol))))
+    beta = _cho_solve(a_chol, design.phi.T @ shifted)
+    cov = sigma_e2 * _cho_solve(a_chol, np.eye(design.m))
+    log_det_a = _log_det_from_factor(a_chol)
     return beta, 0.5 * (cov + cov.T), log_det_a
 
 
@@ -166,8 +168,8 @@ def _ridge_fit(y, design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) 
     ||R||)``, where the second term is the rounding of y~ carried into beta,
     so a mean that is zero in exact arithmetic is still checked; otherwise
     :class:`ConsistencyError` is raised.  A posterior precision that is not
-    positive definite raises :class:`SingularPrior`; numpy's LinAlgError
-    never escapes.
+    positive definite, or whose factor is not finite, raises
+    :class:`SingularPrior`.
     """
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
@@ -176,7 +178,7 @@ def _ridge_fit(y, design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) 
     n, m = design.n, design.m
     prior_inv_chol = scipy.linalg.solve_triangular(prior_chol, np.eye(m), lower=True)
     shifted = y - design.phi @ prior.mean
-    log_det_rest = (n - m) * math.log(sigma_e2) + 2.0 * float(np.sum(np.log(np.diag(prior_chol))))
+    log_det_rest = (n - m) * math.log(sigma_e2) + _log_det_from_factor(prior_chol)
 
     def terms(beta: np.ndarray, log_det_a: float) -> tuple[float, float, np.ndarray]:
         resid = shifted - design.phi @ beta

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import DegenerateDof, DimensionMismatch, LinEvidenceError, RankDeficient
 
@@ -28,7 +28,7 @@ BASIS_KINDS = ("constant", "polynomial", "gaussian-rbf", "exponential-abs")
 
 def _as_float_array(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
     return arr
 
@@ -165,17 +165,47 @@ def _checked_cholesky(
 ) -> np.ndarray:
     """Lower Cholesky factor with a relative pivot check; raises ``error``.
 
-    Used for Gram matrices (``RankDeficient``) and prior covariances
-    (``SingularPrior``); ``what`` names the matrix in the message.
+    Used for Gram matrices (``RankDeficient``) and prior covariances and
+    posterior precisions (``SingularPrior``); ``what`` names the matrix in
+    the message.  LAPACK ``dpotrf`` is called directly, reading the lower
+    triangle and zeroing the upper one, as ``np.linalg.cholesky`` does.
+    Checked here: ``dpotrf`` must succeed, the factor must be finite, and
+    no squared pivot may fall below ``RANK_RTOL`` times the largest diagonal
+    entry of ``matrix``.  A returned factor is therefore finite, and
+    :func:`_cho_solve` does not check it again.
     """
-    try:
-        chol = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise error(f"{what} is not positive definite") from exc
-    pivots = np.diag(chol) ** 2
-    if np.min(pivots) < RANK_RTOL * np.max(np.diag(matrix)):
+    chol, info = dpotrf(matrix, lower=1, clean=1)
+    if info != 0:
+        raise error(f"{what} is not positive definite")
+    pivots = chol.diagonal() ** 2
+    # every entry of a row of the factor enters that row's pivot, so a
+    # non-finite factor that dpotrf accepts has an infinite or NaN pivot
+    if not math.isfinite(pivots.max()):
+        raise error(f"{what} has a non-finite Cholesky factor")
+    if pivots.min() < RANK_RTOL * matrix.diagonal().max():
         raise error(f"{what} is numerically singular (pivot below relative threshold)")
     return chol
+
+
+def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(chol chol^T) x = rhs`` for a factor from :func:`_checked_cholesky`.
+
+    LAPACK ``dpotrs`` is called directly; ``rhs`` may be 1-D or 2-D.  As in
+    ``scipy.linalg.cho_solve``, a non-finite ``rhs`` raises ``ValueError``
+    with scipy's message.  The factor is not checked: ``_checked_cholesky``
+    returns only finite factors.
+    """
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(chol, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _log_det_from_factor(factor: np.ndarray) -> float:
+    """``log det(F^T F)`` of a triangular factor ``F``: ``2 sum log |F_ii|``."""
+    return 2.0 * float(np.log(np.abs(factor.diagonal())).sum())
 
 
 @dataclass(frozen=True)
@@ -202,14 +232,14 @@ class DesignMatrix:
     @property
     def log_det_gram(self) -> float:
         # log det from the factor diagonal; stable for large N and M
-        return float(2.0 * np.sum(np.log(np.diag(self.chol))))
+        return _log_det_from_factor(self.chol)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``gram @ x = rhs`` using the cached Cholesky factor."""
-        return scipy.linalg.cho_solve((self.chol, True), rhs)
+        return _cho_solve(self.chol, rhs)
 
     def inv_gram(self) -> np.ndarray:
-        inv = scipy.linalg.cho_solve((self.chol, True), np.eye(self.m))
+        inv = _cho_solve(self.chol, np.eye(self.m))
         return 0.5 * (inv + inv.T)
 
 
@@ -249,7 +279,7 @@ def _check_alpha(family: BasisFamily, alpha) -> np.ndarray:
             f"{family.kind} basis with size {family.size} expects "
             f"{family.param_count} parameters, got {arr.size}"
         )
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError("alpha must contain only finite values")
     return arr
 
@@ -263,7 +293,7 @@ def build_design_matrix(dataset: Dataset, family: BasisFamily, alpha) -> DesignM
         If ``alpha`` has the wrong length for the family.
     RankDeficient
         If M > N, the basis produced non-finite values, or the Gram matrix
-        fails the positive-definiteness check.
+        overflows or fails the positive-definiteness check.
     """
     alpha = _check_alpha(family, alpha)
     phi = _basis_matrix(family, alpha, dataset.inputs)
@@ -271,10 +301,13 @@ def build_design_matrix(dataset: Dataset, family: BasisFamily, alpha) -> DesignM
         raise RankDeficient(
             f"more basis functions ({phi.shape[1]}) than observations ({phi.shape[0]})"
         )
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise RankDeficient("design matrix contains non-finite entries")
-    gram = phi.T @ phi
-    gram = 0.5 * (gram + gram.T)
+    # a finite phi can still overflow its Gram matrix; the checked Cholesky
+    # reports that as RankDeficient, so the overflow itself is not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = phi.T @ phi
+        gram = 0.5 * (gram + gram.T)
     chol = _checked_cholesky(gram, RankDeficient, "Gram matrix")
     return DesignMatrix(phi=phi, gram=gram, chol=chol)
 

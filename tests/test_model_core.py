@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import stats
 
 from linevidence import (
@@ -13,6 +14,7 @@ from linevidence import (
     GaussianBelief,
     HyperParams,
     RankDeficient,
+    SingularPrior,
     build_design_matrix,
     feature_vector,
     flat_posterior_coefficients,
@@ -21,6 +23,9 @@ from linevidence import (
     resampling_estimator_stats,
     residual_dof,
 )
+from linevidence.model import RANK_RTOL, _checked_cholesky, _cho_solve
+
+EPS = float(np.finfo(float).eps)
 
 
 def two_point_dataset(y):
@@ -153,6 +158,137 @@ class TestDesignMatrix:
         sign, expected = np.linalg.slogdet(design.gram)
         assert sign == 1.0
         assert design.log_det_gram == pytest.approx(expected, rel=1e-12)
+
+    def test_overflowing_gram_rejected(self):
+        # phi = exp(|x - c|) is finite on [0, 400] (at most 5e173), but its
+        # Gram matrix overflows; numpy factors [[inf, inf], [inf, inf]] without
+        # error, so the checked Cholesky must reject the non-finite factor
+        x = np.linspace(0.0, 400.0, 50)
+        ds = Dataset(inputs=x, outputs=np.zeros(50))
+        family = BasisFamily("exponential-abs", 2)
+        with pytest.raises(RankDeficient, match="non-finite Cholesky factor"):
+            build_design_matrix(ds, family, [0.0, 1.0])
+
+
+def random_gram(rng, m, order="C"):
+    """Gram matrix of M random columns whose scales span about 1e-3 to 1e3."""
+    cols = rng.standard_normal((m + 5, m)) * np.exp(rng.uniform(-4.0, 4.0, m))
+    gram = cols.T @ cols
+    return np.asarray(0.5 * (gram + gram.T), order=order)
+
+
+class TestCheckedCholesky:
+    """The package's one factorization, pinned to the factorizations it replaced."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_equals_reference_factors(self, m, order):
+        # scipy.linalg.cholesky calls the same LAPACK: equal to the last bit.
+        # numpy links its own LAPACK build, whose factor agreed to the last bit
+        # for M <= 4 (example2 designs have M = 2) and otherwise differed in
+        # about 10% of these matrices, by under 5 eps times a row's norm
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            gram = random_gram(rng, m, order)
+            chol = _checked_cholesky(gram, RankDeficient, "Gram matrix")
+            assert np.array_equal(chol, scipy.linalg.cholesky(gram, lower=True))
+            reference = np.linalg.cholesky(gram)
+            if m <= 4:
+                assert np.array_equal(chol, reference)
+            else:
+                row_norms = np.sqrt(np.diag(gram))[:, None]
+                assert np.all(np.abs(chol - reference) <= 2 * m * EPS * row_norms)
+
+    def test_equals_numpy_on_example2_grid(self):
+        # every design of example2's 41 x 41 ordered grid: the same 64 are
+        # rejected as by numpy's factor and the pivot rule, and the other 756
+        # factors, which every recovery-study score starts from, are equal
+        x = np.linspace(-10.0, 10.0, 200)
+        axis = np.linspace(-10.0, 10.0, 41)
+        rejected = 0
+        for i, lo in enumerate(axis):
+            for hi in axis[i + 1:]:
+                phi = np.exp(np.abs(x[:, None] - np.array([lo, hi])[None, :]))
+                gram = phi.T @ phi
+                gram = 0.5 * (gram + gram.T)
+                try:
+                    reference = np.linalg.cholesky(gram)
+                except np.linalg.LinAlgError:
+                    rejected += 1
+                    with pytest.raises(RankDeficient, match="not positive definite"):
+                        _checked_cholesky(gram, RankDeficient, "Gram matrix")
+                    continue
+                if np.min(np.diag(reference) ** 2) < RANK_RTOL * np.max(np.diag(gram)):
+                    rejected += 1
+                    with pytest.raises(RankDeficient, match="numerically singular"):
+                        _checked_cholesky(gram, RankDeficient, "Gram matrix")
+                else:
+                    chol = _checked_cholesky(gram, RankDeficient, "Gram matrix")
+                    assert np.array_equal(chol, reference)
+        assert rejected == 64
+
+    @pytest.mark.parametrize(
+        "error, what", [(RankDeficient, "Gram matrix"), (SingularPrior, "prior covariance")]
+    )
+    def test_not_positive_definite(self, error, what):
+        with pytest.raises(error, match=f"^{what} is not positive definite$"):
+            _checked_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), error, what)
+
+    @pytest.mark.parametrize(
+        "error, what", [(RankDeficient, "Gram matrix"), (SingularPrior, "prior covariance")]
+    )
+    def test_pivot_below_threshold(self, error, what):
+        # positive definite, but the second pivot is 1e-14 of the first
+        message = f"^{what} is numerically singular \\(pivot below relative threshold\\)$"
+        with pytest.raises(error, match=message):
+            _checked_cholesky(np.diag([1.0, 1e-14]), error, what)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[np.inf, 1.0], [1.0, 1.0]],
+            [[1.0, 1.0], [1.0, np.inf]],
+            [[np.inf, np.inf], [np.inf, np.inf]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+        ],
+    )
+    def test_nonfinite_matrix_rejected(self, matrix):
+        with pytest.raises(RankDeficient):
+            _checked_cholesky(np.array(matrix), RankDeficient, "Gram matrix")
+
+
+class TestChoSolve:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_equals_scipy_cho_solve(self, m):
+        rng = np.random.default_rng(200 + m)
+        for _ in range(10):
+            chol = _checked_cholesky(random_gram(rng, m), RankDeficient, "Gram matrix")
+            phi = rng.standard_normal((m + 7, m))
+            for rhs in (
+                rng.standard_normal(m),
+                rng.standard_normal((m, 3)),
+                np.asfortranarray(rng.standard_normal((m, 3))),
+                phi.T,  # what improper_prior.smooth solves for
+                np.eye(m),
+            ):
+                x = _cho_solve(chol, rhs)
+                expected = scipy.linalg.cho_solve((chol, True), rhs)
+                assert x.shape == expected.shape
+                assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(2,), (2, 3)])
+    def test_nonfinite_rhs_rejected_as_scipy_does(self, bad, shape):
+        chol = np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        rhs = np.ones(shape)
+        rhs[(1,) * len(shape)] = bad
+        with pytest.raises(ValueError) as expected:
+            scipy.linalg.cho_solve((chol, True), rhs)
+        with pytest.raises(ValueError) as excinfo:
+            _cho_solve(chol, rhs)
+        assert str(excinfo.value) == str(expected.value)
 
 
 class TestLogLikelihood:

@@ -201,6 +201,29 @@ class TestEvaluateObjective:
         params = HyperParams(alpha=[0.7, 0.7], sigma_e2=1.0)
         assert evaluate_objective(ds, family, params, "log_area") == -math.inf
 
+    @pytest.mark.parametrize("objective", ["log_area", "log_marginal"])
+    def test_overflowing_gram_flagged_in_a_sweep(self, objective):
+        # exp(|x - c|) is finite on [0, 400], but phi^T phi overflows once a
+        # center lies within 45 of an end; such points are degenerate, and the
+        # sweep goes on to the finite ones
+        x = np.linspace(0.0, 400.0, 50)
+        ds = Dataset(inputs=x, outputs=np.cos(x / 40.0))
+        family = BasisFamily("exponential-abs", 2)
+        params = HyperParams(alpha=[0.0, 1.0], sigma_e2=1.0, prior_scale=1.0)
+        assert evaluate_objective(ds, family, params, objective) == -math.inf
+        config = OptimizerConfig(
+            bounds={"alpha0": (0.0, 400.0), "alpha1": (0.0, 400.0)},
+            grid_points=5,
+            ordering=(("alpha0", "alpha1"),),
+            max_evals=20,
+        )
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.01, prior_scale=1.0)
+        _, value, trace = empirical_bayes_optimize(ds, family, objective, config, fixed=fixed)
+        grid = {tuple(p.values()): v for p, v in trace[:10]}
+        assert grid[(0.0, 100.0)] == -math.inf
+        assert math.isfinite(grid[(100.0, 300.0)])
+        assert math.isfinite(value)
+
     def test_unknown_objective(self):
         params = HyperParams(alpha=[], sigma_e2=1.0)
         with pytest.raises(ValueError):
