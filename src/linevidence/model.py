@@ -264,6 +264,9 @@ def feature_vector(family: BasisFamily, alpha, x) -> np.ndarray:
     """Basis row phi(x) for a single input point.
 
     ``x`` may be a scalar or a length-d vector; returns a length-M array.
+    Unlike :func:`build_design_matrix`, it does not check the row: an
+    overflowing exponential-abs value comes back as inf, with numpy's
+    overflow ``RuntimeWarning``.
     """
     alpha = _check_alpha(family, alpha)
     pt = np.atleast_1d(np.asarray(x, dtype=float))
@@ -296,16 +299,18 @@ def build_design_matrix(dataset: Dataset, family: BasisFamily, alpha) -> DesignM
         overflows or fails the positive-definiteness check.
     """
     alpha = _check_alpha(family, alpha)
-    phi = _basis_matrix(family, alpha, dataset.inputs)
-    if phi.shape[1] > phi.shape[0]:
-        raise RankDeficient(
-            f"more basis functions ({phi.shape[1]}) than observations ({phi.shape[0]})"
-        )
-    if not np.isfinite(phi).all():
-        raise RankDeficient("design matrix contains non-finite entries")
-    # a finite phi can still overflow its Gram matrix; the checked Cholesky
-    # reports that as RankDeficient, so the overflow itself is not a warning
+    # an exponential-abs basis overflows to inf more than ~709 from its center,
+    # and a finite phi can still overflow its Gram matrix; the finite check and
+    # the checked Cholesky report these as RankDeficient, so neither overflow
+    # is a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        phi = _basis_matrix(family, alpha, dataset.inputs)
+        if phi.shape[1] > phi.shape[0]:
+            raise RankDeficient(
+                f"more basis functions ({phi.shape[1]}) than observations ({phi.shape[0]})"
+            )
+        if not np.isfinite(phi).all():
+            raise RankDeficient("design matrix contains non-finite entries")
         gram = phi.T @ phi
         gram = 0.5 * (gram + gram.T)
     chol = _checked_cholesky(gram, RankDeficient, "Gram matrix")

@@ -89,7 +89,11 @@ class OptimizerConfig:
     ``bounds`` maps free-parameter names to finite (lo, hi) boxes; recognized
     names are ``alpha0 .. alpha{k}``, ``sigma_e2`` and ``sigma_p2``.
     ``ordering`` lists (low, high) name pairs that must satisfy low < high,
-    e.g. ``(("alpha0", "alpha1"),)`` to keep centers sorted.
+    e.g. ``(("alpha0", "alpha1"),)`` to keep centers sorted.  ``tolerance``
+    is the refine's absolute tolerance on the parameters and on the log
+    score alike, so it must lie above the score's rounding floor (see
+    :func:`empirical_bayes_optimize`); ``max_evals`` caps the refine's
+    score evaluations.
     """
 
     bounds: Mapping[str, tuple[float, float]]
@@ -191,15 +195,16 @@ class _Sweep:
     def at(self, vec: np.ndarray):
         """``(alpha, sigma_e2, prior_scale)`` at one point, or None where it is infeasible.
 
-        A nonpositive variance or a broken ordering makes a point infeasible;
-        a NaN or infinite variance raises.
+        A broken ordering makes a point infeasible before its variances are
+        read, and a nonpositive variance makes it infeasible; a NaN or
+        infinite variance raises.
         """
-        alpha, sigma_e2, prior_scale = self._merge(vec)
-        if sigma_e2 <= 0 or (prior_scale is not None and prior_scale <= 0):
-            return None
         for lo, hi in self._ordering:
             if not vec[lo] < vec[hi]:
                 return None
+        alpha, sigma_e2, prior_scale = self._merge(vec)
+        if sigma_e2 <= 0 or (prior_scale is not None and prior_scale <= 0):
+            return None
         model._check_variances(sigma_e2, prior_scale)
         return alpha, sigma_e2, prior_scale
 
@@ -332,8 +337,14 @@ def empirical_bayes_optimize(
     variances); ties keep the lexicographically smallest point.  Unless every
     grid point is degenerate, a Nelder-Mead refine then starts from the best
     grid point within the same bounds, and its result is kept only when it
-    scores higher.  Every evaluated point is recorded in the returned trace,
-    so reruns are byte-for-byte reproducible.
+    scores higher.  The refine stops once its simplex spans at most
+    ``config.tolerance`` in every parameter and in the log score, or after
+    ``config.max_evals`` evaluations.  ``config.tolerance`` must therefore
+    lie above the rounding floor of the score: log S is resolved only to
+    ~5e-8 to 2e-7 absolute on the two-center study, whose data reach ~4e7,
+    and a simplex asked to agree more closely than that shrinks onto
+    rounding noise until the cap.  Every evaluated point is recorded in the
+    returned trace, so reruns are byte-for-byte reproducible.
 
     Returns ``(best_params, best_value, trace)``.
     """
@@ -356,7 +367,7 @@ def empirical_bayes_optimize(
         list(config.bounds.values()),
         {
             "xatol": config.tolerance,
-            "fatol": max(1e-12, config.tolerance * 1e-4),
+            "fatol": config.tolerance,
             "maxfev": config.max_evals,
         },
     )

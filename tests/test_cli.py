@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import linevidence
-from linevidence import DegenerateFitWarning, improper_prior
+from linevidence import DegenerateFitWarning, cli, improper_prior
 from linevidence.cli import main
 
 
@@ -112,6 +113,31 @@ class TestExample2:
         assert (dirs[2] / "example2_replicates.csv").read_bytes() == reference
         sum_ref = (dirs[0] / "example2_summary.csv").read_bytes()
         assert (dirs[2] / "example2_summary.csv").read_bytes() == sum_ref
+
+    def test_refine_converges_before_its_cap(self, monkeypatch):
+        # log S is resolved only to ~1e-7 on this study; a score tolerance
+        # below that lets the simplex shrink onto rounding noise until the
+        # 400-evaluation cap (replicate 5 still reaches it at fatol = 1e-7)
+        minimize = scipy.optimize.minimize
+        refines = []
+
+        def recorded(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            refines.append((kwargs["options"], result))
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+        for rep in range(30):
+            cli._example2_replicate((20250811, rep))
+        assert len(refines) == 30
+        capped = [
+            (rep, result.status, result.nfev)
+            for rep, (_, result) in enumerate(refines)
+            if result.status != 0 or result.nfev >= 400
+        ]
+        assert capped == []
+        for options, _ in refines:
+            assert options["fatol"] == options["xatol"] == 1e-6
 
 
 class TestVerify:

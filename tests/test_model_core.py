@@ -169,6 +169,23 @@ class TestDesignMatrix:
         with pytest.raises(RankDeficient, match="non-finite Cholesky factor"):
             build_design_matrix(ds, family, [0.0, 1.0])
 
+    def test_overflowing_basis_rejected_without_warning(self):
+        # exp(|x - c|) overflows to inf more than ~709 from a center; the
+        # build reports that as RankDeficient, not as a RuntimeWarning (which
+        # the suite turns into an error)
+        x = np.linspace(0.0, 800.0, 50)
+        ds = Dataset(inputs=x, outputs=np.zeros(50))
+        family = BasisFamily("exponential-abs", 2)
+        with pytest.raises(RankDeficient, match="non-finite entries"):
+            build_design_matrix(ds, family, [0.0, 400.0])
+
+    def test_feature_vector_overflow_still_warns(self):
+        # feature_vector checks nothing: the overflow comes back as inf
+        family = BasisFamily("exponential-abs", 1)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            row = feature_vector(family, [0.0], 800.0)
+        assert row[0] == math.inf
+
 
 def random_gram(rng, m, order="C"):
     """Gram matrix of M random columns whose scales span about 1e-3 to 1e3."""

@@ -224,6 +224,17 @@ class TestEvaluateObjective:
         assert math.isfinite(grid[(100.0, 300.0)])
         assert math.isfinite(value)
 
+    @pytest.mark.parametrize("objective", ["log_area", "log_marginal"])
+    def test_overflowing_basis_scores_minus_inf(self, objective):
+        # exp(|x - c|) overflows to inf 800 from the center at 0; the point is
+        # degenerate, and the overflow is no RuntimeWarning (which the suite
+        # turns into an error)
+        x = np.linspace(0.0, 800.0, 50)
+        ds = Dataset(inputs=x, outputs=np.cos(x / 40.0))
+        family = BasisFamily("exponential-abs", 2)
+        params = HyperParams(alpha=[0.0, 400.0], sigma_e2=1.0, prior_scale=1.0)
+        assert evaluate_objective(ds, family, params, objective) == -math.inf
+
     def test_unknown_objective(self):
         params = HyperParams(alpha=[], sigma_e2=1.0)
         with pytest.raises(ValueError):
