@@ -55,7 +55,6 @@ from .selection import (
     ModelScore,
     OptimizerConfig,
     ProfileResult,
-    assemble_hyperparams,
     bma_weights,
     empirical_bayes_optimize,
     evaluate_objective,
@@ -106,7 +105,6 @@ __all__ = [
     "RankDeficient",
     "ResamplingStats",
     "SingularPrior",
-    "assemble_hyperparams",
     "averaged_model_loglik",
     "bma_weights",
     "build_design_matrix",

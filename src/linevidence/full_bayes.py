@@ -75,9 +75,11 @@ def build_hyper_posterior(
     point, all of it boundary.
 
     ``names``, ``fixed`` and ``family`` are checked once for the whole grid,
-    with the messages of :func:`~linevidence.selection.assemble_hyperparams`.
-    A point is then checked only for its own values: a NaN or infinite
-    variance or alpha raises; no ``HyperParams`` is built per point.
+    as every sweep of the package checks them: the fixed alpha's length,
+    known names (``alpha<i>`` and ``sigma_e2``), no slot set twice, alphas in
+    range, and every alpha and sigma_e2 either fixed or free.  A point is
+    then checked only for its own values: a NaN or infinite sigma_e2 or
+    alpha raises; no ``HyperParams`` is built per point.
 
     The design and its flat-prior fit (theta_hat, residual sum of squares,
     log det and inverse of Phi^T Phi) depend on the basis parameters alone:
@@ -93,7 +95,7 @@ def build_hyper_posterior(
     points = sweep.grid(eta_points)
     fit = None
 
-    def weigh(design, sigma_e2: float, *_) -> tuple[float, GaussianBelief]:
+    def weigh(design, sigma_e2: float) -> tuple[float, GaussianBelief]:
         nonlocal fit
         if fit is None or fit.design is not design:
             fit = improper_prior._flat_fit(dataset.outputs, design, posterior=True)
@@ -187,7 +189,7 @@ def averaged_model_loglik(
         p = grid.probs[i]
         if p <= 0.0:
             continue
-        alpha, sigma_e2, _ = sweep.at(grid.points[i])
+        alpha, sigma_e2 = sweep.at(grid.points[i])
         design = design_for(alpha)
         if design is not held:
             held, energy = design, _residual_energy(dataset.outputs, design, theta)

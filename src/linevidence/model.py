@@ -110,26 +110,19 @@ class BasisFamily:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Basis parameters plus noise (and optionally prior) variances.
-
-    ``prior_scale`` is the isotropic prior variance sigma_p^2 on the
-    coefficients.
-    """
+    """Basis parameters ``alpha`` plus the noise variance ``sigma_e2``."""
 
     alpha: np.ndarray
     sigma_e2: float
-    prior_scale: float | None = None
 
     def __post_init__(self):
         alpha = np.atleast_1d(_as_float_array(self.alpha, "alpha"))
         if alpha.ndim != 1:
             raise DimensionMismatch("alpha must be a 1-D array")
         object.__setattr__(self, "alpha", alpha)
-        _check_variances(self.sigma_e2, self.prior_scale)
+        _check_noise_var(self.sigma_e2)
         # keep scalars as plain floats so serialization never sees numpy reprs
         object.__setattr__(self, "sigma_e2", float(self.sigma_e2))
-        if self.prior_scale is not None:
-            object.__setattr__(self, "prior_scale", float(self.prior_scale))
 
 
 @dataclass(frozen=True)
@@ -375,10 +368,3 @@ def _check_outputs(y, design: DesignMatrix) -> np.ndarray:
 def _check_noise_var(sigma_e2: float) -> None:
     if not (math.isfinite(sigma_e2) and sigma_e2 > 0):
         raise ValueError("sigma_e2 must be a positive finite number")
-
-
-def _check_variances(sigma_e2: float, prior_scale: float | None) -> None:
-    """The rules for the two variances of a ``HyperParams``."""
-    _check_noise_var(sigma_e2)
-    if prior_scale is not None and not (math.isfinite(prior_scale) and prior_scale > 0):
-        raise ValueError("prior_scale must be positive and finite when given")

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
-from . import gaussian_prior, improper_prior, model
+from . import improper_prior, model
 from .exceptions import (
     AllDegenerate,
     DegenerateDof,
@@ -28,9 +28,7 @@ from .exceptions import (
 from .model import BasisFamily, Dataset, HyperParams, build_design_matrix, log_likelihood, ml_estimate
 
 SCORE_KINDS = ("proper", "fake")
-OBJECTIVES = ("log_area", "log_marginal")
-
-_VARIANCE_SLOTS = {"sigma_e2": -2, "sigma_p2": -1}
+OBJECTIVES = ("log_area",)
 
 # Failures that mark one sweep point as degenerate.  Anything else, such as a
 # ValueError from malformed caller input, propagates out of the sweep.
@@ -87,7 +85,7 @@ class OptimizerConfig:
     """Grid-then-refine search settings.
 
     ``bounds`` maps free-parameter names to finite (lo, hi) boxes; recognized
-    names are ``alpha0 .. alpha{k}``, ``sigma_e2`` and ``sigma_p2``.
+    names are ``alpha0 .. alpha{k}`` and ``sigma_e2``.
     ``ordering`` lists (low, high) name pairs that must satisfy low < high,
     e.g. ``(("alpha0", "alpha1"),)`` to keep centers sorted.  ``tolerance``
     is the refine's absolute tolerance on the parameters and on the log
@@ -121,41 +119,41 @@ class OptimizerConfig:
 
 
 def _slot(name: str) -> int:
-    """Where ``name`` sits in a merged point: a variance at -2 or -1, alpha i at i.
+    """Where ``name`` sits in a merged point: sigma_e2 at -1, alpha i at i.
 
     ``alpha1`` and ``alpha01`` name one slot.
     """
-    if name in _VARIANCE_SLOTS:
-        return _VARIANCE_SLOTS[name]
+    if name == "sigma_e2":
+        return -1
     if name.startswith("alpha") and name[5:].isdigit():
         return int(name[5:])
-    raise ValueError(
-        f"unrecognized parameter name {name!r}; use alpha<i>, sigma_e2 or sigma_p2"
-    )
+    raise ValueError(f"unrecognized parameter name {name!r}; use alpha<i> or sigma_e2")
 
 
 class _Sweep:
     """A sweep's free names, compiled once against its fixed baseline and family.
 
-    Construction makes, once per sweep, the checks of :func:`assemble_hyperparams`
-    that do not depend on a point's values.  Each point merges over the baseline
-    into one vector: the alphas, then sigma_e2 and sigma_p2.  ``names`` defaults
-    to every alpha; ``ordering`` holds (low, high) name pairs to keep increasing.
+    Construction checks, once per sweep and before any point is scored, what
+    does not depend on a point's values: the fixed alpha has the family's
+    length (``DimensionMismatch``), every name is ``alpha<i>`` or ``sigma_e2``,
+    no two names set one slot, every alpha index is in range
+    (``DimensionMismatch``), and every alpha and sigma_e2 is either fixed or
+    free.  Each point merges over the baseline into one vector: the alphas,
+    then sigma_e2.  ``names`` defaults to every alpha; ``ordering`` holds
+    (low, high) name pairs to keep increasing.
     """
 
     def __init__(self, names, fixed: HyperParams | None, family: BasisFamily, ordering=()):
         k = family.param_count
         self.names = [f"alpha{i}" for i in range(k)] if names is None else list(names)
         # NaN marks a slot that is neither fixed nor, yet, free
-        self._base = np.full(k + 2, np.nan)
+        self._base = np.full(k + 1, np.nan)
         if fixed is not None:
             if fixed.alpha.size != k:
                 raise DimensionMismatch(
                     f"fixed alpha has length {fixed.alpha.size}, family expects {k}"
                 )
-            self._base[:k], self._base[-2] = fixed.alpha, fixed.sigma_e2
-            if fixed.prior_scale is not None:
-                self._base[-1] = fixed.prior_scale
+            self._base[:k], self._base[-1] = fixed.alpha, fixed.sigma_e2
         self._slots = []
         for name in self.names:
             slot = _slot(name)
@@ -171,9 +169,8 @@ class _Sweep:
         if np.any(unset[:k]):
             missing = [f"alpha{i}" for i in np.flatnonzero(unset[:k])]
             raise ValueError(f"parameters {missing} are neither fixed nor free")
-        if unset[-2]:
+        if unset[-1]:
             raise ValueError("sigma_e2 must be supplied either fixed or free")
-        self.has_prior_scale = not unset[-1]
         self._ordering = [(self.names.index(lo), self.names.index(hi)) for lo, hi in ordering]
 
     def grid(self, eta_points) -> np.ndarray:
@@ -185,75 +182,47 @@ class _Sweep:
             )
         return points
 
-    def _merge(self, vec):
-        """The unchecked ``(alpha, sigma_e2, prior_scale)`` of one point; alpha is new."""
-        merged = self._base.copy()
-        merged[self._slots] = vec
-        prior_scale = float(merged[-1]) if self.has_prior_scale else None
-        return merged[:-2], float(merged[-2]), prior_scale
-
     def at(self, vec: np.ndarray):
-        """``(alpha, sigma_e2, prior_scale)`` at one point, or None where it is infeasible.
+        """``(alpha, sigma_e2)`` at one point, or None where it is infeasible.
 
-        A broken ordering makes a point infeasible before its variances are
-        read, and a nonpositive variance makes it infeasible; a NaN or
-        infinite variance raises.
+        A broken ordering makes a point infeasible before its variance is read,
+        and a nonpositive sigma_e2 makes it infeasible; a NaN or infinite one
+        raises.  ``alpha`` is a new array.
         """
         for lo, hi in self._ordering:
             if not vec[lo] < vec[hi]:
                 return None
-        alpha, sigma_e2, prior_scale = self._merge(vec)
-        if sigma_e2 <= 0 or (prior_scale is not None and prior_scale <= 0):
+        merged = self._base.copy()
+        merged[self._slots] = vec
+        sigma_e2 = float(merged[-1])
+        if sigma_e2 <= 0:
             return None
-        model._check_variances(sigma_e2, prior_scale)
-        return alpha, sigma_e2, prior_scale
+        model._check_noise_var(sigma_e2)
+        return merged[:-1], sigma_e2
 
 
-def assemble_hyperparams(
-    names: Sequence[str],
-    values: Sequence[float],
-    fixed: HyperParams | None,
-    family: BasisFamily,
-) -> HyperParams:
-    """Merge free parameter values over the fixed baseline into a HyperParams.
-
-    The checks on ``names``, ``fixed`` and ``family`` are the ones every sweep
-    makes once, before its first point: the fixed alpha's length, known names,
-    no slot set twice, alphas in range, every alpha and sigma_e2 either fixed
-    or free.  The merged values then get every check of ``HyperParams``, so a
-    nonpositive variance raises here, where a sweep flags its point instead.
-    """
-    if len(names) != len(values):
-        raise DimensionMismatch("names and values must have equal length")
-    return HyperParams(*_Sweep(names, fixed, family)._merge(values))
-
-
-def _check_objective(objective: str, has_prior_scale: bool) -> None:
+def _check_objective(objective: str) -> None:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    if objective == "log_marginal" and not has_prior_scale:
-        raise ValueError("log_marginal objective requires prior_scale")
 
 
 def evaluate_objective(
     dataset: Dataset, family: BasisFamily, params: HyperParams, objective: str
 ) -> float:
-    """Score one hyperparameter setting; -inf for degenerate candidates."""
-    _check_objective(objective, params.prior_scale is not None)
+    """log S, the flat-prior likelihood area, at one setting; -inf if degenerate.
 
-    def score(design, sigma_e2: float, prior_scale: float | None) -> float:
-        if objective == "log_area":
-            return improper_prior.log_area_under_likelihood(
-                dataset.outputs, design, sigma_e2
-            ).log_value
-        prior = gaussian_prior.isotropic_prior(design.m, prior_scale)
-        return gaussian_prior.log_marginal_likelihood(
-            dataset.outputs, design, sigma_e2, prior
+    ``objective`` must be ``"log_area"``; any other value raises ``ValueError``
+    before the design is built.  A degenerate design (rank-deficient,
+    overflowing, or with no residual degrees of freedom) scores -inf.
+    """
+    _check_objective(objective)
+    try:
+        design = build_design_matrix(dataset, family, params.alpha)
+        return improper_prior.log_area_under_likelihood(
+            dataset.outputs, design, params.sigma_e2
         ).log_value
-
-    point = (params.alpha, params.sigma_e2, params.prior_scale)
-    value = _score_design(_design_builder(dataset, family), point, score)
-    return -math.inf if value is None else value
+    except _DEGENERATE:
+        return -math.inf
 
 
 def _design_builder(dataset: Dataset, family: BasisFamily):
@@ -279,16 +248,16 @@ def _design_builder(dataset: Dataset, family: BasisFamily):
 
 
 def _score_design(design_for, point, score):
-    """``score(design, sigma_e2, prior_scale)`` at ``point = (alpha, sigma_e2, prior_scale)``.
+    """``score(design, sigma_e2)`` at ``point = (alpha, sigma_e2)``.
 
     None where the point is None, as ``_Sweep.at`` gives for an infeasible
     one, or where its design or score is degenerate.
     """
     if point is None:
         return None
-    alpha, sigma_e2, prior_scale = point
+    alpha, sigma_e2 = point
     try:
-        return score(design_for(alpha), sigma_e2, prior_scale)
+        return score(design_for(alpha), sigma_e2)
     except _DEGENERATE:
         return None
 
@@ -330,9 +299,10 @@ def empirical_bayes_optimize(
     config: OptimizerConfig,
     fixed: HyperParams | None = None,
 ) -> tuple[HyperParams, float, list[tuple[dict, float]]]:
-    """Maximize a log score over free hyperparameters by grid then refine.
+    """Maximize log S over the free hyperparameters of one family by grid then refine.
 
-    The coarse stage scores a lexicographically ordered tensor grid over the
+    ``objective`` must be ``"log_area"`` (see :func:`evaluate_objective`).  The
+    coarse stage scores a lexicographically ordered tensor grid over the
     bound boxes, skipping infeasible points (ordering violations, nonpositive
     variances); ties keep the lexicographically smallest point.  Unless every
     grid point is degenerate, a Nelder-Mead refine then starts from the best
@@ -348,8 +318,8 @@ def empirical_bayes_optimize(
 
     Returns ``(best_params, best_value, trace)``.
     """
+    _check_objective(objective)
     sweep = _Sweep(config.bounds, fixed, family, config.ordering)
-    _check_objective(objective, sweep.has_prior_scale)
     axes = [np.linspace(lo, hi, config.grid_points) for lo, hi in config.bounds.values()]
     trace: list[tuple[dict, float]] = []
 
@@ -408,7 +378,7 @@ def profile_likelihood(
     sweep = _Sweep(names, fixed, family)
     points = sweep.grid(eta_points)
 
-    def profiled(design, sigma_e2: float, *_) -> float:
+    def profiled(design, sigma_e2: float) -> float:
         theta_hat, _ = ml_estimate(dataset.outputs, design)
         return log_likelihood(dataset.outputs, design, theta_hat, sigma_e2)
 

@@ -43,7 +43,6 @@ ALPHA_SIGMA = ["alpha0", "sigma_e2"]
 NONFINITE_MESSAGES = {
     "alpha0": "alpha must contain only finite values",
     "sigma_e2": "sigma_e2 must be a positive finite number",
-    "sigma_p2": "prior_scale must be positive and finite when given",
 }
 
 
@@ -138,22 +137,10 @@ class TestBuildHyperPosterior:
         # is malformed input and raises, whichever columns vary per point
         ds, family = rbf_dataset()
         names = list(NONFINITE_MESSAGES)
-        good = [1.0, 0.09, 2.0]
+        good = [1.0, 0.09]
         row = [bad if name == column else v for name, v in zip(names, good)]
         with pytest.raises(ValueError, match=NONFINITE_MESSAGES[column]):
             sweep(ds, family, [row, good], fixed=FIXED_RBF, names=names)
-
-    def test_name_repeated_is_a_caller_error(self):
-        ds, family = rbf_dataset()
-        with pytest.raises(ValueError, match="already set"):
-            build_hyper_posterior(
-                ds, family, [[0.5, 1.0], [1.5, 1.0]], fixed=FIXED_RBF, names=["alpha0", "alpha0"]
-            )
-
-    def test_missing_noise_variance_is_a_caller_error(self):
-        ds, _ = rbf_dataset()
-        with pytest.raises(ValueError, match="sigma_e2 must be supplied"):
-            build_hyper_posterior(ds, BasisFamily("gaussian-rbf", 1), [[0.5], [1.5]])
 
     def test_mass_piles_on_edge_when_truth_is_outside(self):
         ds, family = rbf_dataset(center=4.0)

@@ -13,13 +13,10 @@ from linevidence import (
     DesignMatrix,
     DimensionMismatch,
     GaussianBelief,
-    HyperParams,
-    OptimizerConfig,
+    RankDeficient,
     SingularPrior,
     build_design_matrix,
     diffuse_limit_decomposition,
-    empirical_bayes_optimize,
-    evaluate_objective,
     flat_posterior_coefficients,
     isotropic_prior,
     log_area_under_likelihood,
@@ -449,27 +446,19 @@ class TestExample2Designs:
 
     @pytest.mark.parametrize("sigma_p2", [1e-2, 1.0, 1e4, 1e8])
     def test_every_admitted_grid_design_scores(self, sigma_p2):
+        # every design of the ordered 41 x 41 grid that the rank check admits
+        # gets a finite log Z; the build rejects the other 64 pairs
         ds = self.dataset(0)
+        prior = isotropic_prior(2, sigma_p2)
         axis = np.linspace(-10.0, 10.0, 41)
         admitted = 0
         for i, a0 in enumerate(axis):
             for a1 in axis[i + 1:]:
-                params = HyperParams(alpha=[a0, a1], sigma_e2=cli._EX2_SIGMA2, prior_scale=sigma_p2)
-                value = evaluate_objective(ds, cli._EX2_FAMILY, params, "log_marginal")
-                admitted += math.isfinite(value)
+                try:
+                    design = build_design_matrix(ds, cli._EX2_FAMILY, [a0, a1])
+                except RankDeficient:
+                    continue
+                value = log_marginal_likelihood(ds.outputs, design, cli._EX2_SIGMA2, prior)
+                assert math.isfinite(value.log_value)
+                admitted += 1
         assert admitted == 756
-
-    def test_log_marginal_search_completes(self):
-        search = OptimizerConfig(
-            bounds={"alpha0": (-10.0, 10.0), "alpha1": (-10.0, 10.0)},
-            grid_points=41,
-            ordering=(("alpha0", "alpha1"),),
-            tolerance=1e-6,
-            max_evals=400,
-        )
-        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=cli._EX2_SIGMA2, prior_scale=1.0)
-        best, value, _ = empirical_bayes_optimize(
-            self.dataset(0), cli._EX2_FAMILY, "log_marginal", search, fixed
-        )
-        assert math.isfinite(value)
-        np.testing.assert_allclose(best.alpha, cli._EX2_ALPHA, atol=0.5)

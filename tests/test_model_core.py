@@ -79,8 +79,6 @@ class TestHyperParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             HyperParams(alpha=[0.0], sigma_e2=0.0)
-        with pytest.raises(ValueError):
-            HyperParams(alpha=[0.0], sigma_e2=1.0, prior_scale=-1.0)
 
 
 class TestGaussianBelief:

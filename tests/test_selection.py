@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from linevidence import selection
+from linevidence import cli, selection
 from linevidence import (
     AllDegenerate,
     BasisFamily,
@@ -15,12 +15,13 @@ from linevidence import (
     MixedKinds,
     ModelScore,
     OptimizerConfig,
-    assemble_hyperparams,
     bma_weights,
     build_design_matrix,
+    build_hyper_posterior,
     empirical_bayes_optimize,
     evaluate_objective,
     isotropic_prior,
+    log_area_under_likelihood,
     log_bayes_factor,
     log_marginal_likelihood,
     profile_likelihood,
@@ -156,42 +157,66 @@ class TestOptimizerConfig:
             OptimizerConfig(**kwargs)
 
 
-class TestAssembleHyperparams:
+def _optimize(dataset, family, names, fixed):
+    config = OptimizerConfig(bounds={name: (0.5, 1.5) for name in names}, grid_points=2)
+    return empirical_bayes_optimize(dataset, family, "log_area", config, fixed=fixed)
+
+
+def _profile(dataset, family, names, fixed):
+    return profile_likelihood(dataset, family, [[1.0] * len(names)], fixed=fixed, names=names)
+
+
+def _hyper_posterior(dataset, family, names, fixed):
+    return build_hyper_posterior(dataset, family, [[1.0] * len(names)], fixed=fixed, names=names)
+
+
+class TestSweepChecks:
+    """Every sweep checks its names and fixed values against the family once,
+    before any point is scored, with one set of exceptions and messages."""
+
+    DATASET = Dataset(inputs=[[-1.0], [0.0], [1.0], [2.0]], outputs=[1.0, 0.0, 1.0, 0.5])
     FAMILY = BasisFamily("gaussian-rbf", 2, width=1.0)
+    FIXED = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
 
-    def test_merges_over_fixed(self):
-        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
-        params = assemble_hyperparams(
-            ["alpha0", "alpha1", "sigma_p2"], [-4.0, 6.0, 2.0], fixed, self.FAMILY
-        )
-        np.testing.assert_array_equal(params.alpha, [-4.0, 6.0])
-        assert params.sigma_e2 == 0.5
-        assert params.prior_scale == 2.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            assemble_hyperparams(["alpha0"], [1.0, 2.0], None, self.FAMILY)
-
-    def test_alpha_index_out_of_range(self):
-        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
-        with pytest.raises(DimensionMismatch):
-            assemble_hyperparams(["alpha2"], [1.0], fixed, self.FAMILY)
-
-    def test_unset_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_hyperparams(["alpha0", "sigma_e2"], [1.0, 0.5], None, self.FAMILY)
-
-    @pytest.mark.parametrize("names", [["alpha0", "alpha0"], ["alpha1", "alpha01"]])
-    def test_slot_set_twice_rejected(self, names):
-        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
-        with pytest.raises(ValueError, match="already set"):
-            assemble_hyperparams(names, [0.5, 1.0], fixed, self.FAMILY)
-
-    def test_missing_noise_var_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_hyperparams(
-                ["alpha0", "alpha1"], [1.0, 2.0], None, self.FAMILY
-            )
+    @pytest.mark.parametrize("sweep", [_optimize, _profile, _hyper_posterior])
+    @pytest.mark.parametrize(
+        "names, fixed, error, message",
+        [
+            pytest.param(
+                ["alpha0"], HyperParams(alpha=[0.0], sigma_e2=0.5),
+                DimensionMismatch, "fixed alpha has length 1, family expects 2",
+                id="fixed-alpha-length",
+            ),
+            pytest.param(
+                ["alpha0", "sigma_p2"], FIXED,
+                ValueError, "unrecognized parameter name 'sigma_p2'",
+                id="unknown-name",
+            ),
+            pytest.param(
+                ["alpha1", "alpha01"], FIXED, ValueError, "already set", id="slot-set-twice"
+            ),
+            pytest.param(
+                ["alpha2"], FIXED, DimensionMismatch, "'alpha2' is out of range",
+                id="alpha-out-of-range",
+            ),
+            pytest.param(
+                ["alpha0", "sigma_e2"], None,
+                ValueError, r"parameters \['alpha1'\] are neither fixed nor free",
+                id="alpha-neither-fixed-nor-free",
+            ),
+            pytest.param(
+                ["alpha0", "alpha1"], None,
+                ValueError, "sigma_e2 must be supplied either fixed or free",
+                id="no-sigma_e2",
+            ),
+        ],
+    )
+    def test_rejected_before_any_point(self, monkeypatch, sweep, names, fixed, error, message):
+        built = []
+        monkeypatch.setattr(selection, "build_design_matrix", lambda *args: built.append(args))
+        with pytest.raises(error, match=message):
+            sweep(self.DATASET, self.FAMILY, names, fixed)
+        assert built == []
 
 
 class TestEvaluateObjective:
@@ -201,65 +226,58 @@ class TestEvaluateObjective:
         params = HyperParams(alpha=[0.7, 0.7], sigma_e2=1.0)
         assert evaluate_objective(ds, family, params, "log_area") == -math.inf
 
-    @pytest.mark.parametrize("objective", ["log_area", "log_marginal"])
-    def test_overflowing_gram_flagged_in_a_sweep(self, objective):
+    def test_overflowing_gram_flagged_in_a_sweep(self):
         # exp(|x - c|) is finite on [0, 400], but phi^T phi overflows once a
         # center lies within 45 of an end; such points are degenerate, and the
         # sweep goes on to the finite ones
         x = np.linspace(0.0, 400.0, 50)
         ds = Dataset(inputs=x, outputs=np.cos(x / 40.0))
         family = BasisFamily("exponential-abs", 2)
-        params = HyperParams(alpha=[0.0, 1.0], sigma_e2=1.0, prior_scale=1.0)
-        assert evaluate_objective(ds, family, params, objective) == -math.inf
+        params = HyperParams(alpha=[0.0, 1.0], sigma_e2=1.0)
+        assert evaluate_objective(ds, family, params, "log_area") == -math.inf
         config = OptimizerConfig(
             bounds={"alpha0": (0.0, 400.0), "alpha1": (0.0, 400.0)},
             grid_points=5,
             ordering=(("alpha0", "alpha1"),),
             max_evals=20,
         )
-        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.01, prior_scale=1.0)
-        _, value, trace = empirical_bayes_optimize(ds, family, objective, config, fixed=fixed)
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.01)
+        _, value, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
         grid = {tuple(p.values()): v for p, v in trace[:10]}
         assert grid[(0.0, 100.0)] == -math.inf
         assert math.isfinite(grid[(100.0, 300.0)])
         assert math.isfinite(value)
 
-    @pytest.mark.parametrize("objective", ["log_area", "log_marginal"])
-    def test_overflowing_basis_scores_minus_inf(self, objective):
+    def test_overflowing_basis_scores_minus_inf(self):
         # exp(|x - c|) overflows to inf 800 from the center at 0; the point is
         # degenerate, and the overflow is no RuntimeWarning (which the suite
         # turns into an error)
         x = np.linspace(0.0, 800.0, 50)
         ds = Dataset(inputs=x, outputs=np.cos(x / 40.0))
         family = BasisFamily("exponential-abs", 2)
-        params = HyperParams(alpha=[0.0, 400.0], sigma_e2=1.0, prior_scale=1.0)
-        assert evaluate_objective(ds, family, params, objective) == -math.inf
+        params = HyperParams(alpha=[0.0, 400.0], sigma_e2=1.0)
+        assert evaluate_objective(ds, family, params, "log_area") == -math.inf
 
-    def test_unknown_objective(self):
-        params = HyperParams(alpha=[], sigma_e2=1.0)
-        with pytest.raises(ValueError):
-            evaluate_objective(TWO_POINT, CONSTANT, params, "evidence")
-
-    def test_marginal_objective_requires_prior_scale(self):
-        params = HyperParams(alpha=[], sigma_e2=1.0)
-        with pytest.raises(ValueError):
-            evaluate_objective(TWO_POINT, CONSTANT, params, "log_marginal")
-
-    def test_missing_prior_scale_not_hidden_by_degenerate_design(self):
+    @pytest.mark.parametrize("objective", ["evidence", "log_marginal"])
+    def test_unknown_objective_not_hidden_by_degenerate_design(self, objective):
+        # log S is the only objective; the check comes before the design,
+        # so a degenerate one cannot turn the caller error into -inf
         ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 2.0])
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
         params = HyperParams(alpha=[0.3, 0.3], sigma_e2=1.0)
-        with pytest.raises(ValueError, match="requires prior_scale"):
-            evaluate_objective(ds, family, params, "log_marginal")
+        with pytest.raises(ValueError, match="objective must be one of"):
+            evaluate_objective(ds, family, params, objective)
 
-    def test_marginal_objective_value(self):
-        params = HyperParams(alpha=[], sigma_e2=1.0, prior_scale=2.0)
-        design = build_design_matrix(TWO_POINT, CONSTANT, [])
-        want = log_marginal_likelihood(
-            TWO_POINT.outputs, design, 1.0, isotropic_prior(1, 2.0)
-        ).log_value
-        got = evaluate_objective(TWO_POINT, CONSTANT, params, "log_marginal")
-        assert got == pytest.approx(want, rel=1e-12)
+    def test_area_objective_value(self):
+        rng = np.random.default_rng(np.random.SeedSequence([20250811, 0]))
+        y = cli._example2_truth() + rng.normal(0.0, math.sqrt(cli._EX2_SIGMA2), cli._EX2_N)
+        ds = Dataset(inputs=cli._EX2_X[:, None], outputs=y)
+        params = HyperParams(alpha=cli._EX2_ALPHA, sigma_e2=cli._EX2_SIGMA2)
+        design = build_design_matrix(ds, cli._EX2_FAMILY, cli._EX2_ALPHA)
+        want = log_area_under_likelihood(y, design, cli._EX2_SIGMA2).log_value
+        got = evaluate_objective(ds, cli._EX2_FAMILY, params, "log_area")
+        assert math.isfinite(got)
+        assert got == want
 
 
 class TestEmpiricalBayesOptimize:
@@ -341,12 +359,6 @@ class TestEmpiricalBayesOptimize:
         for params, _ in trace:
             assert params["alpha0"] < params["alpha1"]
 
-    def test_marginal_objective_without_prior_scale_raises(self):
-        config = OptimizerConfig(bounds={"sigma_e2": (0.5, 20.0)}, grid_points=4)
-        fixed = HyperParams(alpha=[], sigma_e2=1.0)
-        with pytest.raises(ValueError, match="log_marginal objective requires"):
-            empirical_bayes_optimize(TWO_POINT, CONSTANT, "log_marginal", config, fixed=fixed)
-
     def test_impossible_ordering_raises(self):
         ds = Dataset(inputs=[[-1.0], [0.0], [1.0]], outputs=[1.0, 0.0, 1.0])
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
@@ -360,20 +372,19 @@ class TestEmpiricalBayesOptimize:
             empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
 
     @pytest.mark.parametrize(
-        "objective, free, error",
+        "objective, error",
         [
-            ("evidence", {}, ValueError),
-            ("log_marginal", {}, ValueError),
-            ("log_marginal", {"sigma_p2": (0.5, 2.0)}, EmptyFeasibleGrid),
+            ("evidence", ValueError),
+            ("log_marginal", ValueError),
+            ("log_area", EmptyFeasibleGrid),
         ],
     )
-    def test_objective_checked_before_the_grid(self, objective, free, error):
-        # the ordering excludes every grid point, so no point is ever scored;
-        # a free sigma_p2 supplies the prior scale that log_marginal needs
+    def test_objective_checked_before_the_grid(self, objective, error):
+        # the ordering excludes every grid point, so no point is ever scored
         ds = Dataset(inputs=[[-1.0], [0.0], [1.0]], outputs=[1.0, 0.0, 1.0])
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
         config = OptimizerConfig(
-            bounds={"alpha0": (5.0, 10.0), "alpha1": (0.0, 4.0), **free},
+            bounds={"alpha0": (5.0, 10.0), "alpha1": (0.0, 4.0)},
             grid_points=3,
             ordering=(("alpha0", "alpha1"),),
         )
@@ -478,11 +489,6 @@ class TestProfileLikelihood:
             profile_likelihood(
                 TWO_POINT, CONSTANT, [[math.nan], [4.0]], fixed=fixed, names=("sigma_e2",)
             )
-
-    def test_missing_noise_variance_is_a_caller_error(self):
-        ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="sigma_e2 must be supplied"):
-            profile_likelihood(ds, BasisFamily("gaussian-rbf", 1), [[0.5], [1.5]])
 
     def test_all_degenerate(self):
         ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
