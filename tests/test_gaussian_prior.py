@@ -48,10 +48,16 @@ class TestIsotropicPrior:
         np.testing.assert_array_equal(prior.mean, [0.4, 0.4, 0.4])
         np.testing.assert_array_equal(prior.cov, 2.5 * np.eye(3))
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
     def test_bad_scale(self, scale):
-        with pytest.raises(SingularPrior):
+        # the one check on a prior scale, now that HyperParams carries none
+        with pytest.raises(SingularPrior, match="prior scale must be positive and finite"):
             isotropic_prior(2, scale)
+
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_nonfinite_mean(self, mean):
+        with pytest.raises(ValueError, match="prior mean must be finite"):
+            isotropic_prior(2, 1.0, mean)
 
 
 class TestPosteriorCoefficients:
