@@ -20,16 +20,17 @@ import numpy as np
 import scipy.special
 
 from . import improper_prior
-from .exceptions import AllDegenerate, NonFiniteMassWarning
+from .exceptions import AllDegenerate, NonFiniteMassWarning, SingularPrior
 from .model import (
     BasisFamily,
     Dataset,
     GaussianBelief,
     HyperParams,
+    _checked_cholesky,
     _log_likelihood_at,
     _residual_energy,
 )
-from .selection import _design_builder, _score_design, _Sweep
+from .selection import _fit_memo, _score_design, _Sweep
 
 _BOUNDARY_MASS_LIMIT = 0.5
 
@@ -83,6 +84,7 @@ def build_hyper_posterior(
 
     The design and its flat-prior fit (theta_hat, residual sum of squares,
     log det and inverse of Phi^T Phi) depend on the basis parameters alone:
+    here, in :func:`averaged_model_loglik` and in ``profile_likelihood``,
     consecutive points with equal alpha share one design build and one fit,
     and each of their sigma_e2 values costs arithmetic only.  A grid that
     lists the variances innermost, as
@@ -93,19 +95,17 @@ def build_hyper_posterior(
     """
     sweep = _Sweep(names, fixed, family)
     points = sweep.grid(eta_points)
-    fit = None
 
-    def weigh(design, sigma_e2: float) -> tuple[float, GaussianBelief]:
-        nonlocal fit
-        if fit is None or fit.design is not design:
-            fit = improper_prior._flat_fit(dataset.outputs, design, posterior=True)
+    def weigh(fit, sigma_e2: float) -> tuple[float, GaussianBelief]:
         return (
             improper_prior._area_report(fit, sigma_e2).log_value,
             improper_prior._flat_posterior(fit, sigma_e2),
         )
 
-    design_for = _design_builder(dataset, family)
-    scored = [_score_design(design_for, sweep.at(vec), weigh) for vec in points]
+    fit_for = _fit_memo(
+        dataset, family, lambda y, design: improper_prior._flat_fit(y, design, posterior=True)
+    )
+    scored = [_score_design(fit_for, sweep.at(vec), weigh) for vec in points]
     failed = np.array([s is None for s in scored])
     if np.all(failed):
         raise AllDegenerate("every grid point has weight zero")
@@ -160,7 +160,8 @@ def sample_posterior(
         i = int(i)
         if i not in chol_cache:
             belief = grid.posteriors[i]
-            chol_cache[i] = (belief.mean, np.linalg.cholesky(belief.cov))
+            chol = _checked_cholesky(belief.cov, SingularPrior, "posterior covariance")
+            chol_cache[i] = (belief.mean, chol)
         mean, chol = chol_cache[i]
         z = rng.standard_normal((n_inner, m))
         theta_samples[r] = mean + z @ chol.T
@@ -176,24 +177,20 @@ def averaged_model_loglik(
     so flagged degenerate points never contribute.  A degenerate design at a
     point with mass raises, and so does a ``theta`` of the wrong length.  As in
     :func:`build_hyper_posterior`, consecutive points with equal alpha share
-    one design build and one residual ``||y - Phi theta||^2``, and each of
-    their sigma_e2 values costs arithmetic only, so the grid's order sets how
-    many designs are built but not the result.  The grid's names and fixed
-    baseline are checked against ``family`` once, not at every point.
+    one design build and one fit, here the residual ``||y - Phi theta||^2``,
+    and each of their sigma_e2 values costs arithmetic only, so the grid's
+    order sets how many designs are built but not the result.  The grid's
+    names and fixed baseline are checked against ``family`` once.
     """
     sweep = _Sweep(grid.names, grid.fixed, family)
-    design_for = _design_builder(dataset, family)
-    held, energy = None, None
+    energy_for = _fit_memo(dataset, family, lambda y, design: _residual_energy(y, design, theta))
     terms = []
     for i in range(grid.size):
         p = grid.probs[i]
         if p <= 0.0:
             continue
         alpha, sigma_e2 = sweep.at(grid.points[i])
-        design = design_for(alpha)
-        if design is not held:
-            held, energy = design, _residual_energy(dataset.outputs, design, theta)
-        ll = _log_likelihood_at(design.n, energy, sigma_e2)
+        ll = _log_likelihood_at(dataset.n, energy_for(alpha), sigma_e2)
         terms.append(math.log(p) + ll)
     if not terms:
         raise AllDegenerate("no usable grid points")

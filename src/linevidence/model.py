@@ -161,7 +161,7 @@ def _checked_cholesky(
     Used for Gram matrices (``RankDeficient``) and prior covariances and
     posterior precisions (``SingularPrior``); ``what`` names the matrix in
     the message.  LAPACK ``dpotrf`` is called directly, reading the lower
-    triangle and zeroing the upper one, as ``np.linalg.cholesky`` does.
+    triangle and zeroing the upper one, as NumPy's Cholesky does.
     Checked here: ``dpotrf`` must succeed, the factor must be finite, and
     no squared pivot may fall below ``RANK_RTOL`` times the largest diagonal
     entry of ``matrix``.  A returned factor is therefore finite, and
@@ -184,7 +184,7 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(chol chol^T) x = rhs`` for a factor from :func:`_checked_cholesky`.
 
     LAPACK ``dpotrs`` is called directly; ``rhs`` may be 1-D or 2-D.  As in
-    ``scipy.linalg.cho_solve``, a non-finite ``rhs`` raises ``ValueError``
+    SciPy's Cholesky solve, a non-finite ``rhs`` raises ``ValueError``
     with scipy's message.  The factor is not checked: ``_checked_cholesky``
     returns only finite factors.
     """

@@ -25,7 +25,7 @@ from .exceptions import (
     RankDeficient,
     SingularPrior,
 )
-from .model import BasisFamily, Dataset, HyperParams, build_design_matrix, log_likelihood, ml_estimate
+from .model import BasisFamily, Dataset, HyperParams, build_design_matrix
 
 SCORE_KINDS = ("proper", "fake")
 OBJECTIVES = ("log_area",)
@@ -225,39 +225,40 @@ def evaluate_objective(
         return -math.inf
 
 
-def _design_builder(dataset: Dataset, family: BasisFamily):
-    """A ``design_for(alpha)`` that reuses the design of the previous alpha.
+def _fit_memo(dataset: Dataset, family: BasisFamily, fit):
+    """A ``fit_for(alpha)`` giving ``fit(dataset.outputs, design)`` of alpha's design.
 
-    It holds at most one design: the last one built, keyed by ``alpha``'s
-    bytes.  Any other alpha is built through this module's
-    ``build_design_matrix`` binding, and the held design is replaced only
-    when that build succeeds, so a degenerate alpha raises afresh at every
-    call and no exception is ever stored.  Points that share alpha therefore
-    share one design only when they are consecutive.
+    It holds at most one result: ``fit`` of the last design built, keyed by
+    ``alpha``'s bytes.  Any other alpha is built through this module's
+    ``build_design_matrix`` binding and fitted, and the held result is
+    replaced only when both succeed, so a degenerate alpha raises afresh at
+    every call and no exception is ever stored.  Points that share alpha
+    therefore share one build and one fit only when they are consecutive.
     """
-    held_key, held_design = None, None
+    held_key, held = None, None
 
-    def design_for(alpha: np.ndarray):
-        nonlocal held_key, held_design
+    def fit_for(alpha: np.ndarray):
+        nonlocal held_key, held
         key = alpha.tobytes()
         if key != held_key:
-            held_key, held_design = key, build_design_matrix(dataset, family, alpha)
-        return held_design
+            design = build_design_matrix(dataset, family, alpha)
+            held, held_key = fit(dataset.outputs, design), key
+        return held
 
-    return design_for
+    return fit_for
 
 
-def _score_design(design_for, point, score):
-    """``score(design, sigma_e2)`` at ``point = (alpha, sigma_e2)``.
+def _score_design(fit_for, point, score):
+    """``score(fit_for(alpha), sigma_e2)`` at ``point = (alpha, sigma_e2)``.
 
     None where the point is None, as ``_Sweep.at`` gives for an infeasible
-    one, or where its design or score is degenerate.
+    one, or where its design, fit or score is degenerate.
     """
     if point is None:
         return None
     alpha, sigma_e2 = point
     try:
-        return score(design_for(alpha), sigma_e2)
+        return score(fit_for(alpha), sigma_e2)
     except _DEGENERATE:
         return None
 
@@ -367,25 +368,25 @@ def profile_likelihood(
 ) -> ProfileResult:
     """Likelihood maximized over theta, profiled on a hyperparameter grid.
 
-    At each grid point the coefficients are set to their closed-form ML value
-    and the likelihood is evaluated there.  Values are normalized by the
-    larger of the grid maximum and an unbounded Nelder-Mead polish started
-    from the best grid point, so the normalized profile lies in (0, 1]
-    wherever it is defined; grid points with a nonpositive variance or a
-    degenerate design are flagged in ``failed`` and get zero weight rather
-    than failing the whole sweep.
+    At each point the likelihood is evaluated at the closed-form ML
+    coefficients, from the residual of their least-squares fit; consecutive
+    points with equal alpha, in the grid or the polish, share one design
+    build and one fit.  Values are normalized by the larger of the grid
+    maximum and an unbounded Nelder-Mead polish started from the best grid
+    point, so the normalized profile lies in (0, 1] wherever it is defined;
+    grid points with a nonpositive variance or a degenerate design are
+    flagged in ``failed`` and get zero weight rather than failing the sweep.
     """
     sweep = _Sweep(names, fixed, family)
     points = sweep.grid(eta_points)
 
-    def profiled(design, sigma_e2: float) -> float:
-        theta_hat, _ = ml_estimate(dataset.outputs, design)
-        return log_likelihood(dataset.outputs, design, theta_hat, sigma_e2)
+    fit_for = _fit_memo(dataset, family, improper_prior._flat_fit)
 
-    # a fresh builder per point keeps one build per evaluation; the grid
-    # points are distinct, so a shared builder would save nothing
+    def profiled(fit, sigma_e2: float) -> float:
+        return model._log_likelihood_at(dataset.n, fit.rss, sigma_e2)
+
     log_values, _, log_max = _grid_then_polish(
-        lambda vec: _score_design(_design_builder(dataset, family), sweep.at(vec), profiled),
+        lambda vec: _score_design(fit_for, sweep.at(vec), profiled),
         points,
         None,
         {"xatol": 1e-8, "fatol": 1e-12, "maxfev": 400 * max(1, len(sweep.names))},

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import linevidence
 from linevidence import (
@@ -60,6 +61,19 @@ def design_builds(monkeypatch):
         if getattr(module, "build_design_matrix", None) is original:
             monkeypatch.setattr(module, "build_design_matrix", counted)
     return calls
+
+
+def calls_before_polish(monkeypatch, calls):
+    """``len(calls)`` at the start of every Nelder-Mead polish, as it is reached."""
+    seen = []
+    minimize = scipy.optimize.minimize
+
+    def recorded(*args, **kwargs):
+        seen.append(len(calls))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+    return seen
 
 
 def alpha_sigma_grid(alphas, sigmas):
@@ -164,7 +178,7 @@ class TestBuildHyperPosterior:
             fixed = build_hyper_posterior(ds, family, alphas[:, None], fixed=FIXED_RBF)
         np.testing.assert_array_equal(named.log_weights, fixed.log_weights)
 
-    def test_sigma_innermost_builds_each_design_once(self, design_builds):
+    def test_sigma_innermost_builds_each_design_once(self, design_builds, monkeypatch):
         ds, family = rbf_dataset()
         alphas = np.linspace(0.0, 2.0, 5)
         points = alpha_sigma_grid(alphas, [0.03, 0.045, 0.06, 0.08])
@@ -174,6 +188,12 @@ class TestBuildHyperPosterior:
         design_builds.clear()
         averaged_model_loglik(grid, ds, family, [2.0])
         assert 1 <= len(design_builds) <= 5
+        design_builds.clear()
+        # the profile's grid stage ends where its polish starts
+        polish_from = calls_before_polish(monkeypatch, design_builds)
+        profile_likelihood(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
+        assert polish_from == [5]
+        np.testing.assert_array_equal(np.concatenate(design_builds[:5]), alphas)
 
     def test_sweeps_build_no_hyperparams_per_point(self, monkeypatch):
         # names, the fixed baseline and the family are checked once per sweep;
@@ -281,6 +301,7 @@ class TestBuildHyperPosterior:
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
         fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.09)
         axis = [0.0, 1.0, 2.0]
+        names = ["alpha0", "alpha1", "sigma_e2"]
         points = np.array(list(itertools.product(axis, axis, [0.05, 0.09, 0.2, 0.4])))
         original = linevidence.improper_prior._flat_fit
         fitted = []
@@ -291,11 +312,15 @@ class TestBuildHyperPosterior:
 
         monkeypatch.setattr(linevidence.improper_prior, "_flat_fit", counted)
         with pytest.warns(NonFiniteMassWarning):
-            build_hyper_posterior(
-                ds, family, points, fixed=fixed, names=["alpha0", "alpha1", "sigma_e2"]
-            )
+            build_hyper_posterior(ds, family, points, fixed=fixed, names=names)
         admissible = [[a, b] for a, b in itertools.product(axis, axis) if a != b]
         assert len(fitted) == len(admissible) == 6
+        for phi, alpha in zip(fitted, admissible):
+            np.testing.assert_array_equal(phi, build_design_matrix(ds, family, alpha).phi)
+        fitted.clear()
+        polish_from = calls_before_polish(monkeypatch, fitted)
+        profile_likelihood(ds, family, points, fixed=fixed, names=names)
+        assert polish_from == [6]
         for phi, alpha in zip(fitted, admissible):
             np.testing.assert_array_equal(phi, build_design_matrix(ds, family, alpha).phi)
 

@@ -23,7 +23,9 @@ from linevidence import (
     isotropic_prior,
     log_area_under_likelihood,
     log_bayes_factor,
+    log_likelihood,
     log_marginal_likelihood,
+    ml_estimate,
     profile_likelihood,
     unbiased_noise_variance,
 )
@@ -474,6 +476,28 @@ class TestProfileLikelihood:
         assert result.failed.tolist() == [True, False]
         assert result.normalized[0] == 0.0
         assert result.normalized[1] > 0.0
+
+    def test_each_value_is_the_likelihood_at_the_ml_coefficients(self):
+        x = np.linspace(-2.0, 3.0, 12)
+        ds = Dataset(inputs=x[:, None], outputs=np.sin(x) + 0.1 * np.cos(7.0 * x))
+        family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
+        names = ("alpha0", "alpha1", "sigma_e2")
+        # (0.5, 0.5) repeats a center, so both its points are degenerate, and
+        # the design (-1, 1) returns after them
+        points = [
+            [-1.0, 1.0, 0.1], [-1.0, 1.0, 0.4], [0.5, 0.5, 0.1],
+            [0.5, 0.5, 0.4], [-1.0, 1.0, 0.2], [0.0, 2.0, 0.1],
+        ]
+        result = profile_likelihood(ds, family, points, fixed=fixed, names=names)
+        assert result.failed.tolist() == [False, False, True, True, False, False]
+        assert result.log_values[2] == result.log_values[3] == -math.inf
+        for (a0, a1, sigma_e2), value in zip(points, result.log_values):
+            if a0 == a1:
+                continue
+            design = build_design_matrix(ds, family, [a0, a1])
+            theta_hat, _ = ml_estimate(ds.outputs, design)
+            assert value == log_likelihood(ds.outputs, design, theta_hat, sigma_e2)
 
     def test_nonpositive_noise_variance_flagged_not_fatal(self):
         fixed = HyperParams(alpha=[], sigma_e2=1.0)
