@@ -94,14 +94,36 @@ def _flat_fit(y: np.ndarray, design: DesignMatrix, posterior: bool = False) -> _
     return _FlatFit(design, theta_hat, rss, design.log_det_gram, inv_gram)
 
 
-def _area_report(fit: _FlatFit, sigma_e2: float) -> EvidenceReport:
-    """log S of a fit at one checked sigma_e2."""
-    design, rss = fit.design, fit.rss
+def _area_terms(rss, log_det_gram, dof: int, sigma_e2):
+    """The fitting, penalty and constant terms of log S, of scalars or arrays alike."""
     # perfbench/check_smoke.py perturbs the next line to prove wrong scores fail
     fitting = rss / (2.0 * sigma_e2)
-    penalty = 0.5 * fit.log_det_gram
-    constant = 0.5 * (design.n - design.m) * np.log(2.0 * np.pi * sigma_e2)
+    penalty = 0.5 * log_det_gram
+    constant = 0.5 * dof * np.log(2.0 * np.pi * sigma_e2)
+    return fitting, penalty, constant
+
+
+def _area_report(fit: _FlatFit, sigma_e2: float) -> EvidenceReport:
+    """log S of a fit at one checked sigma_e2."""
+    design = fit.design
+    fitting, penalty, constant = _area_terms(
+        fit.rss, fit.log_det_gram, design.n - design.m, sigma_e2
+    )
     return EvidenceReport.from_terms(fitting, penalty, float(constant))
+
+
+def _log_area_values(rss: np.ndarray, log_det_gram: np.ndarray, dof: int, sigma_e2: np.ndarray):
+    """log S of a stack of fits, each at its own checked sigma_e2.
+
+    Each value is bitwise the ``log_value`` of the :func:`_area_report` of
+    that fit alone.  A term that is not finite makes the value not finite,
+    so the report is built only there, where it raises its ``ValueError``.
+    """
+    terms = _area_terms(rss, log_det_gram, dof, sigma_e2)
+    log_value = -(terms[0] + terms[1] + terms[2])
+    for k in np.flatnonzero(~np.isfinite(log_value)):
+        EvidenceReport.from_terms(*(float(term[k]) for term in terms))
+    return log_value
 
 
 def _flat_posterior(fit: _FlatFit, sigma_e2: float) -> GaussianBelief:

@@ -196,9 +196,13 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _log_det_from_factor(factor: np.ndarray) -> float:
-    """``log det(F^T F)`` of a triangular factor ``F``: ``2 sum log |F_ii|``."""
-    return 2.0 * float(np.log(np.abs(factor.diagonal())).sum())
+def _log_det_from_factor(factor: np.ndarray):
+    """``log det(F^T F)`` of a triangular factor ``F``: ``2 sum log |F_ii|``.
+
+    A float for one factor; an array for a ``(K, M, M)`` stack of them.
+    """
+    log_det = 2.0 * np.log(np.abs(factor.diagonal(0, -2, -1))).sum(axis=-1)
+    return float(log_det) if log_det.ndim == 0 else log_det
 
 
 @dataclass(frozen=True)
@@ -237,17 +241,25 @@ class DesignMatrix:
 
 
 def _basis_matrix(family: BasisFamily, alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Basis values at the rows of ``x``: shape ``(..., N, M)`` for ``alpha`` of shape ``(..., P)``.
+
+    Leading axes of ``alpha`` index designs, so a ``(K, P)`` stack gives the
+    K designs at once, as the search's grid stage scores them; each design
+    is bitwise equal to its own one-design call.  A 1-D ``alpha`` gives one
+    ``(N, M)`` design.
+    """
     n, d = x.shape
+    lead = alpha.shape[:-1]
     if family.kind == "constant":
-        return np.ones((n, family.size))
+        return np.ones(lead + (n, family.size))
     if d != 1:
         raise DimensionMismatch(
             f"{family.kind} basis requires scalar inputs, got input_dim={d}"
         )
     t = x[:, 0]
     if family.kind == "polynomial":
-        return np.vander(t, family.size, increasing=True)
-    diff = t[:, None] - alpha[None, :]
+        return np.tile(np.vander(t, family.size, increasing=True), lead + (1, 1))
+    diff = t[:, None] - alpha[..., None, :]
     if family.kind == "gaussian-rbf":
         return np.exp(-0.5 * (diff / family.width) ** 2)
     return np.exp(np.abs(diff))
@@ -292,22 +304,71 @@ def build_design_matrix(dataset: Dataset, family: BasisFamily, alpha) -> DesignM
         overflows or fails the positive-definiteness check.
     """
     alpha = _check_alpha(family, alpha)
+    phi, gram, finite = _design_stack(family, alpha, dataset.inputs)
+    return DesignMatrix(phi=phi, gram=gram, chol=_gram_factor(gram, finite))
+
+
+def _design_stack(family: BasisFamily, alphas: np.ndarray, x: np.ndarray):
+    """``(phi, gram, finite)`` of the designs of a ``(..., P)`` stack of checked alphas.
+
+    ``finite`` flags each design whose basis is finite; the Gram matrix of
+    any other one holds no meaning, and :func:`_gram_factor` rejects it.
+    M > N is true of every design of the family at once, so it raises
+    ``RankDeficient`` for the whole stack.  A 1-D ``alpha`` gives one design.
+    """
     # an exponential-abs basis overflows to inf more than ~709 from its center,
     # and a finite phi can still overflow its Gram matrix; the finite check and
     # the checked Cholesky report these as RankDeficient, so neither overflow
     # is a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = _basis_matrix(family, alpha, dataset.inputs)
-        if phi.shape[1] > phi.shape[0]:
-            raise RankDeficient(
-                f"more basis functions ({phi.shape[1]}) than observations ({phi.shape[0]})"
-            )
-        if not np.isfinite(phi).all():
-            raise RankDeficient("design matrix contains non-finite entries")
-        gram = phi.T @ phi
-        gram = 0.5 * (gram + gram.T)
-    chol = _checked_cholesky(gram, RankDeficient, "Gram matrix")
-    return DesignMatrix(phi=phi, gram=gram, chol=chol)
+        phi = _basis_matrix(family, alphas, x)
+        n, m = phi.shape[-2:]
+        if m > n:
+            raise RankDeficient(f"more basis functions ({m}) than observations ({n})")
+        finite = np.isfinite(phi).all(axis=(-2, -1))
+        gram = phi.swapaxes(-1, -2) @ phi
+        gram = 0.5 * (gram + gram.swapaxes(-1, -2))
+    return phi, gram, finite
+
+
+def _gram_factor(gram: np.ndarray, finite: bool) -> np.ndarray:
+    """The checked Cholesky factor of one design's Gram matrix from :func:`_design_stack`."""
+    if not finite:
+        raise RankDeficient("design matrix contains non-finite entries")
+    return _checked_cholesky(gram, RankDeficient, "Gram matrix")
+
+
+def _fit_stack(y: np.ndarray, family: BasisFamily, alphas: np.ndarray, x: np.ndarray):
+    """Least-squares fits of the designs of a ``(K, P)`` stack of checked alphas.
+
+    Returns ``(admitted, rss, log_det_gram)``: ``admitted`` flags the designs
+    :func:`build_design_matrix` accepts, and the other two hold, for those
+    designs in order, what :func:`_residual_sum_of_squares` and
+    ``DesignMatrix.log_det_gram`` give each one built alone, bitwise.  The
+    Gram matrices, ``Phi^T y`` and the residuals are stacked products; each
+    design is factored and solved through :func:`_gram_factor` and
+    :func:`_cho_solve`.  Raises ``RankDeficient`` when M > N.
+    """
+    phi, gram, finite = _design_stack(family, alphas, x)
+    admitted = np.zeros(len(phi), dtype=bool)
+    chols = []
+    for k in range(len(phi)):
+        try:
+            chols.append(_gram_factor(gram[k], finite[k]))
+        except RankDeficient:
+            continue
+        admitted[k] = True
+    phi = phi[admitted]
+    m = phi.shape[-1]
+    chol = np.array(chols).reshape(-1, m, m)
+    rhs = phi.swapaxes(-1, -2) @ y
+    theta = np.empty((len(chol), m))
+    for k in range(len(chol)):
+        theta[k] = _cho_solve(chol[k], rhs[k])
+    resid = y - (phi @ theta[..., None])[..., 0]
+    # direct sums of squares, as _residual_sum_of_squares takes them
+    rss = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
+    return admitted, rss, _log_det_from_factor(chol)
 
 
 def log_likelihood(y, design: DesignMatrix, theta, sigma_e2: float) -> float:

@@ -34,6 +34,11 @@ OBJECTIVES = ("log_area",)
 # ValueError from malformed caller input, propagates out of the sweep.
 _DEGENERATE = (RankDeficient, SingularPrior, DegenerateDof)
 
+# Designs per stacked block of the search's grid stage.  A block's bases,
+# (block, N, M), are held at once, so the search's peak memory grows with it;
+# 32 designs already amortize the per-call cost of the stacked products.
+_GRID_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class ModelScore:
@@ -263,22 +268,49 @@ def _score_design(fit_for, point, score):
         return None
 
 
+def _grid_log_area(dataset: Dataset, family: BasisFamily, points) -> np.ndarray:
+    """log S at every ``(alpha, sigma_e2)`` of ``points``, -inf where degenerate.
+
+    Scored in stacked blocks of ``_GRID_BLOCK`` designs by
+    ``model._fit_stack``; each value is bitwise equal to
+    :func:`evaluate_objective` at that point.
+    """
+    values = np.full(len(points), -math.inf)
+    dof = dataset.n - family.size
+    for start in range(0, len(points), _GRID_BLOCK):
+        block = points[start : start + _GRID_BLOCK]
+        alphas = np.array([alpha for alpha, _ in block])
+        sigma_e2 = np.array([s for _, s in block])
+        try:
+            admitted, rss, log_det = model._fit_stack(
+                dataset.outputs, family, alphas, dataset.inputs
+            )
+        except _DEGENERATE:
+            continue
+        values[start + np.flatnonzero(admitted)] = improper_prior._log_area_values(
+            rss, log_det, dof, sigma_e2[admitted]
+        )
+    return values
+
+
 # Private, like the scorers above: a traced run wraps every public function, and
 # a public sweep helper would hide the caller that tells grid, refine and polish apart.
-def _grid_then_polish(score, points, bounds, options):
-    """Score every grid point, then polish the first best one by Nelder-Mead.
+def _grid_then_polish(score, points, values, bounds, options):
+    """Polish the first best grid point by Nelder-Mead.
 
-    ``score(vec)`` gives a log value, or None for a point that is no candidate.
-    The polish runs only from a finite best value and is kept only if higher.
-    Returns ``(values, best_vec, best_value)``, values -inf where score gave None.
+    ``values`` holds the caller's score of each of ``points``, -inf for a
+    point that is no candidate; ``score(vec)`` gives the polish a log value,
+    or None for a point that is no candidate.  The first point with the
+    highest value wins, even when every value is -inf; the polish runs only
+    from a finite best value and is kept only if higher.  Returns
+    ``(best_vec, best_value, result)``: best_vec is None when there are no
+    points, and result is the polish's ``OptimizeResult``, or None when the
+    polish did not run.
     """
-    values = []
-    best_vec, best_value = None, -math.inf
-    for vec in points:
-        value = score(vec)
-        values.append(-math.inf if value is None else value)
-        if value is not None and (value > best_value or best_vec is None):
-            best_vec, best_value = vec, value
+    if len(points) == 0:
+        return None, -math.inf, None
+    best = int(np.argmax(values))
+    best_vec, best_value, result = points[best], float(values[best]), None
     if math.isfinite(best_value):
 
         def negated(vec: np.ndarray) -> float:
@@ -290,7 +322,7 @@ def _grid_then_polish(score, points, bounds, options):
         )
         if math.isfinite(result.fun) and -result.fun > best_value:
             best_value, best_vec = -float(result.fun), np.asarray(result.x)
-    return np.array(values), best_vec, best_value
+    return best_vec, best_value, result
 
 
 def empirical_bayes_optimize(
@@ -299,42 +331,67 @@ def empirical_bayes_optimize(
     objective: str,
     config: OptimizerConfig,
     fixed: HyperParams | None = None,
+    *,
+    record: dict | None = None,
 ) -> tuple[HyperParams, float, list[tuple[dict, float]]]:
     """Maximize log S over the free hyperparameters of one family by grid then refine.
 
     ``objective`` must be ``"log_area"`` (see :func:`evaluate_objective`).  The
     coarse stage scores a lexicographically ordered tensor grid over the
     bound boxes, skipping infeasible points (ordering violations, nonpositive
-    variances); ties keep the lexicographically smallest point.  Unless every
+    variances); ties keep the lexicographically smallest point.  It scores
+    the feasible points in stacked blocks of designs, each value bitwise
+    equal to :func:`evaluate_objective` at that point.  Unless every
     grid point is degenerate, a Nelder-Mead refine then starts from the best
     grid point within the same bounds, and its result is kept only when it
-    scores higher.  The refine stops once its simplex spans at most
+    scores higher.  The refine scores each point by one
+    :func:`evaluate_objective` call.  It stops once its simplex spans at most
     ``config.tolerance`` in every parameter and in the log score, or after
     ``config.max_evals`` evaluations.  ``config.tolerance`` must therefore
     lie above the rounding floor of the score: log S is resolved only to
     ~5e-8 to 2e-7 absolute on the two-center study, whose data reach ~4e7,
     and a simplex asked to agree more closely than that shrinks onto
     rounding noise until the cap.  Every evaluated point is recorded in the
-    returned trace, so reruns are byte-for-byte reproducible.
+    returned trace, grid points in grid order and then refine points, so
+    reruns are byte-for-byte reproducible.
+
+    A ``record`` dict, when given, is filled with the run's counts:
+    ``grid_evals`` (feasible grid points scored), ``grid_degenerate`` (those
+    scoring -inf), and the refine's ``refine_nfev``, ``refine_nit`` and
+    ``refine_status`` (scipy's; 0 means converged).  Without a refine the
+    two counts are 0 and the status is None.
 
     Returns ``(best_params, best_value, trace)``.
     """
     _check_objective(objective)
     sweep = _Sweep(config.bounds, fixed, family, config.ordering)
     axes = [np.linspace(lo, hi, config.grid_points) for lo, hi in config.bounds.values()]
-    trace: list[tuple[dict, float]] = []
+    vecs, points = [], []
+    for combo in itertools.product(*axes):
+        vec = np.asarray(combo)
+        point = sweep.at(vec)
+        if point is not None:
+            vecs.append(vec)
+            points.append(point)
+    values = _grid_log_area(dataset, family, points)
+
+    def named(vec: np.ndarray) -> dict:
+        return dict(zip(sweep.names, (float(v) for v in vec)))
+
+    trace = [(named(vec), float(value)) for vec, value in zip(vecs, values)]
 
     def score(vec: np.ndarray) -> float | None:
         point = sweep.at(vec)
         if point is None:
             return None
         value = evaluate_objective(dataset, family, HyperParams(*point), objective)
-        trace.append((dict(zip(sweep.names, (float(v) for v in vec))), value))
+        trace.append((named(vec), value))
         return value
 
-    _, best_vec, best_value = _grid_then_polish(
+    best_vec, best_value, result = _grid_then_polish(
         score,
-        (np.asarray(combo) for combo in itertools.product(*axes)),
+        vecs,
+        values,
         list(config.bounds.values()),
         {
             "xatol": config.tolerance,
@@ -342,6 +399,14 @@ def empirical_bayes_optimize(
             "maxfev": config.max_evals,
         },
     )
+    if record is not None:
+        record.update(
+            grid_evals=len(points),
+            grid_degenerate=int(np.sum(np.isneginf(values))),
+            refine_nfev=0 if result is None else int(result.nfev),
+            refine_nit=0 if result is None else int(result.nit),
+            refine_status=None if result is None else int(result.status),
+        )
     if best_vec is None:
         raise EmptyFeasibleGrid("constraints exclude every grid point")
     return HyperParams(*sweep.at(best_vec)), best_value, trace
@@ -385,9 +450,14 @@ def profile_likelihood(
     def profiled(fit, sigma_e2: float) -> float:
         return model._log_likelihood_at(dataset.n, fit.rss, sigma_e2)
 
-    log_values, _, log_max = _grid_then_polish(
-        lambda vec: _score_design(fit_for, sweep.at(vec), profiled),
+    def score(vec: np.ndarray) -> float | None:
+        return _score_design(fit_for, sweep.at(vec), profiled)
+
+    log_values = np.array([-math.inf if v is None else v for v in map(score, points)])
+    _, log_max, _ = _grid_then_polish(
+        score,
         points,
+        log_values,
         None,
         {"xatol": 1e-8, "fatol": 1e-12, "maxfev": 400 * max(1, len(sweep.names))},
     )

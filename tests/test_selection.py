@@ -1,10 +1,11 @@
 """Score comparison, averaging weights, and hyperparameter search."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from linevidence import cli, selection
+from linevidence import cli, model, selection
 from linevidence import (
     AllDegenerate,
     BasisFamily,
@@ -214,8 +215,10 @@ class TestSweepChecks:
         ],
     )
     def test_rejected_before_any_point(self, monkeypatch, sweep, names, fixed, error, message):
+        # every design build goes through model._design_stack: one design in
+        # build_design_matrix, a block of them in the search's grid stage
         built = []
-        monkeypatch.setattr(selection, "build_design_matrix", lambda *args: built.append(args))
+        monkeypatch.setattr(model, "_design_stack", lambda *args: built.append(args))
         with pytest.raises(error, match=message):
             sweep(self.DATASET, self.FAMILY, names, fixed)
         assert built == []
@@ -280,6 +283,118 @@ class TestEvaluateObjective:
         got = evaluate_objective(ds, cli._EX2_FAMILY, params, "log_area")
         assert math.isfinite(got)
         assert got == want
+
+
+def _params_at(point, fixed):
+    """The HyperParams of a trace point: its free names over the fixed values."""
+    alpha = fixed.alpha.copy()
+    for name, value in point.items():
+        if name != "sigma_e2":
+            alpha[int(name[5:])] = value
+    return HyperParams(alpha=alpha, sigma_e2=point.get("sigma_e2", fixed.sigma_e2))
+
+
+def _grid_case(dataset, family, bounds, grid_points, fixed, ordering=()):
+    config = OptimizerConfig(
+        bounds=bounds, grid_points=grid_points, ordering=ordering, max_evals=20
+    )
+    return dataset, family, config, fixed
+
+
+_X12 = np.linspace(-1.0, 1.0, 12)
+_X400 = np.linspace(0.0, 400.0, 50)
+_X800 = np.linspace(0.0, 800.0, 50)
+_EXP2 = BasisFamily("exponential-abs", 2)
+_RBF2 = BasisFamily("gaussian-rbf", 2, width=1.0)
+_CENTERS_FIXED = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
+_VARIANCE_FIXED = HyperParams(alpha=[], sigma_e2=1.0)
+
+
+class TestStackedGrid:
+    """The grid stage scores its points in stacked blocks; every grid value
+    must equal evaluate_objective at that point, -inf included.  The rbf grid
+    has 81 points, 9 of them degenerate, so it spans three blocks."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(
+                _grid_case(TWO_POINT, CONSTANT, {"sigma_e2": (-1.0, 20.0)}, 43, _VARIANCE_FIXED),
+                id="constant-sigma_e2",
+            ),
+            pytest.param(
+                _grid_case(
+                    Dataset(inputs=_X12, outputs=1.5 - 0.7 * _X12 + 0.3 * np.sin(9.0 * _X12)),
+                    BasisFamily("polynomial", 9),
+                    {"sigma_e2": (1e-3, 5.0)},
+                    40,
+                    _VARIANCE_FIXED,
+                ),
+                id="polynomial-sigma_e2",
+            ),
+            pytest.param(
+                _grid_case(
+                    Dataset(inputs=_X12, outputs=np.cos(3.0 * _X12)),
+                    _RBF2,
+                    {"alpha0": (-1.0, 1.0), "alpha1": (-1.0, 1.0)},
+                    9,
+                    _CENTERS_FIXED,
+                ),
+                id="rbf-equal-centers",
+            ),
+            pytest.param(
+                _grid_case(
+                    Dataset(inputs=_X800, outputs=np.cos(_X800 / 40.0)),
+                    _EXP2,
+                    {"alpha0": (0.0, 800.0), "alpha1": (0.0, 800.0)},
+                    9,
+                    _CENTERS_FIXED,
+                    ordering=(("alpha0", "alpha1"),),
+                ),
+                id="overflowing-basis",
+            ),
+            pytest.param(
+                _grid_case(
+                    Dataset(inputs=_X400, outputs=np.cos(_X400 / 40.0)),
+                    _EXP2,
+                    {"alpha0": (0.0, 400.0), "alpha1": (0.0, 400.0)},
+                    9,
+                    HyperParams(alpha=[0.0, 0.0], sigma_e2=0.01),
+                    ordering=(("alpha0", "alpha1"),),
+                ),
+                id="overflowing-gram",
+            ),
+            pytest.param(
+                _grid_case(
+                    TWO_POINT, BasisFamily("polynomial", 3), {"sigma_e2": (0.5, 4.0)}, 5,
+                    _VARIANCE_FIXED,
+                ),
+                id="more-basis-than-points",
+            ),
+        ],
+    )
+    def test_grid_equals_evaluate_objective(self, case):
+        dataset, family, config, fixed = case
+        record = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, trace = empirical_bayes_optimize(
+                dataset, family, "log_area", config, fixed=fixed, record=record
+            )
+        grid = trace[: record["grid_evals"]]
+        values = [value for _, value in grid]
+        assert record["grid_degenerate"] == values.count(-math.inf)
+        for point, value in grid:
+            assert value == evaluate_objective(dataset, family, _params_at(point, fixed), "log_area")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_rss_escapes_the_search(self):
+        # the residuals +-1e200 square past the largest float, so log S has an
+        # infinite fitting term; that is a caller error, not a degenerate design
+        ds = Dataset(inputs=[[-1.0], [1.0]], outputs=[-1e200, 1e200])
+        config = OptimizerConfig(bounds={"sigma_e2": (0.5, 2.0)}, grid_points=3)
+        with pytest.raises(ValueError, match="all report terms must be finite"):
+            empirical_bayes_optimize(ds, CONSTANT, "log_area", config, fixed=_VARIANCE_FIXED)
 
 
 class TestEmpiricalBayesOptimize:
@@ -394,16 +509,15 @@ class TestEmpiricalBayesOptimize:
         with pytest.raises(error):
             empirical_bayes_optimize(ds, family, objective, config, fixed=fixed)
 
-    def test_objective_scored_once_per_feasible_point(self, monkeypatch):
-        # each grid and refine point that passes the feasibility checks is
-        # scored by exactly one evaluate_objective call on a checked HyperParams
+    def test_grid_stacked_and_refine_scored_once_per_point(self, monkeypatch):
+        # the grid is scored in stacked blocks, with no HyperParams per point,
+        # and each value equals evaluate_objective there; each refine point is
+        # scored by one evaluate_objective call on a checked HyperParams
         ds = Dataset(inputs=[[-1.0], [0.0], [1.0], [2.0]], outputs=[1.0, 0.0, 1.0, 0.5])
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
+        # unordered, so the 5 equal-center points of the 5 x 5 grid are degenerate
         config = OptimizerConfig(
-            bounds={"alpha0": (-1.0, 2.0), "alpha1": (-1.0, 2.0)},
-            grid_points=5,
-            ordering=(("alpha0", "alpha1"),),
-            max_evals=50,
+            bounds={"alpha0": (-1.0, 2.0), "alpha1": (-1.0, 2.0)}, grid_points=5, max_evals=50
         )
         fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
         scored, built = [], []
@@ -417,16 +531,22 @@ class TestEmpiricalBayesOptimize:
             built.append(self)
             post_init(self)
 
-        monkeypatch.setattr(selection, "evaluate_objective", counted_evaluate)
-        monkeypatch.setattr(HyperParams, "__post_init__", counted_post_init)
-        best, _, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
-        assert len(scored) == len(trace) > 10
-        # the 10 strictly increasing pairs of the 5 x 5 grid come first
-        assert [tuple(p.alpha) for p in scored[:10]] == [
-            (p["alpha0"], p["alpha1"]) for p, _ in trace[:10]
+        with monkeypatch.context() as patch:
+            patch.setattr(selection, "evaluate_objective", counted_evaluate)
+            patch.setattr(HyperParams, "__post_init__", counted_post_init)
+            best, _, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
+        grid, refine = trace[:25], trace[25:]
+        assert len(refine) > 0
+        assert sum(value == -math.inf for _, value in grid) == 5
+        for point, value in grid:
+            params = HyperParams(alpha=[point["alpha0"], point["alpha1"]], sigma_e2=0.5)
+            assert value == evaluate_objective(ds, family, params, "log_area")
+        # one evaluate_objective call per refine point, in trace order
+        assert [tuple(p.alpha) for p in scored] == [
+            (p["alpha0"], p["alpha1"]) for p, _ in refine
         ]
-        assert all(p["alpha0"] < p["alpha1"] for p, _ in trace[:10])
-        # one HyperParams per scored point, and one for the result
+        # one HyperParams per refine point, and one for the result
+        assert len(built) == len(refine) + 1
         assert [id(p) for p in built] == [id(p) for p in scored + [best]]
 
     def test_exact_tie_keeps_first_grid_point(self):
@@ -439,6 +559,50 @@ class TestEmpiricalBayesOptimize:
         best, _, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
         assert trace[0][1] == trace[1][1]
         assert best.alpha[0] == -1.0
+
+
+    def test_record_counts_example2_replicate_0(self):
+        rng = np.random.default_rng(np.random.SeedSequence([20250811, 0]))
+        y = cli._example2_truth() + rng.normal(0.0, math.sqrt(cli._EX2_SIGMA2), cli._EX2_N)
+        ds = Dataset(inputs=cli._EX2_X[:, None], outputs=y)
+        config = OptimizerConfig(
+            bounds={"alpha0": (-10.0, 10.0), "alpha1": (-10.0, 10.0)},
+            grid_points=41,
+            ordering=(("alpha0", "alpha1"),),
+            tolerance=1e-6,
+            max_evals=400,
+        )
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=cli._EX2_SIGMA2)
+        record = {}
+        _, _, trace = empirical_bayes_optimize(
+            ds, cli._EX2_FAMILY, "log_area", config, fixed=fixed, record=record
+        )
+        assert record["grid_evals"] == 820
+        assert record["grid_degenerate"] == 64
+        assert record["refine_status"] == 0
+        # every refine point in the trace is one the refine evaluated
+        assert 0 < len(trace) - 820 <= record["refine_nfev"] < 400
+        assert 0 < record["refine_nit"] <= record["refine_nfev"]
+
+    def test_record_without_a_refine(self):
+        # three basis functions on two points: every design is degenerate, so
+        # no refine runs, and the first feasible point wins the all -inf grid
+        config = OptimizerConfig(bounds={"sigma_e2": (-1.0, 5.0)}, grid_points=4)
+        record = {}
+        best, value, trace = empirical_bayes_optimize(
+            TWO_POINT, BasisFamily("polynomial", 3), "log_area", config,
+            fixed=HyperParams(alpha=[], sigma_e2=1.0), record=record,
+        )
+        assert value == -math.inf
+        assert [p["sigma_e2"] for p, _ in trace] == [1.0, 3.0, 5.0]
+        assert best.sigma_e2 == 1.0
+        assert record == {
+            "grid_evals": 3,
+            "grid_degenerate": 3,
+            "refine_nfev": 0,
+            "refine_nit": 0,
+            "refine_status": None,
+        }
 
 
 class TestProfileLikelihood:
