@@ -26,6 +26,15 @@ exists to catch.  The QR values are returned.  Both routes take the
 quadratic form from the residual, never as ``y~^T y~ - b^T A^{-1} b``, which
 cancels most of its digits when y is large against the residual.
 
+Both routes are made of small LAPACK calls, and OpenBLAS threads some of
+them at a cost out of all proportion to their work.  With two threads on a
+2-core Xeon, a tall ``dgeqrf`` (one QR of a 2008 x 9 matrix) took 4-10 ms
+inside a scoring call, and ``dtrtrs`` against an 8 x 8 identity took a
+median of 2-3.5 ms (up to 13 ms) right after other BLAS work, where a direct
+triangular inverse took 40 us.  So the QR is blocked
+(``_triangular_factor``), and every triangular inverse goes through
+``model._tri_inverse``.
+
 The diffuse-limit ladder scores each of an increasing sequence of isotropic
 prior scales with :func:`log_marginal_likelihood` and splits -log Z into its
 fitting term (which converges to the flat-prior fitting term) and its
@@ -51,6 +60,7 @@ from .model import (
     _checked_cholesky,
     _cho_solve,
     _log_det_from_factor,
+    _tri_inverse,
     feature_vector,
 )
 
@@ -94,10 +104,8 @@ def _triangular_factor(matrix: np.ndarray) -> np.ndarray:
     and the stacked R factors, with the leftover rows, are factored again
     (TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34,
     2012).  The result is the Householder R up to the signs of its rows.
-    Each LAPACK call stays small.  With two OpenBLAS threads on a 2-core
-    Xeon, one QR of a 2008 x 9 matrix took 4-10 ms inside a scoring call,
-    mostly handing level-2 BLAS work between threads; the blocked form took
-    0.15 ms.
+    Each LAPACK call stays small, so OpenBLAS does not thread it (see the
+    module docstring): the blocked form of the 2008 x 9 QR took 0.15 ms.
     """
     rows, cols = matrix.shape
     block = max(_QR_BLOCK_ROWS, cols)
@@ -130,7 +138,7 @@ def _qr_route(
     r_full = _triangular_factor(bordered)
     r = r_full[:m, :m]
     beta = scipy.linalg.solve_triangular(r, r_full[:m, m])
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(m))
+    r_inv = _tri_inverse(r, False, SingularPrior, "posterior precision QR factor")
     cov = sigma_e2 * (r_inv @ r_inv.T)
     log_det_a = _log_det_from_factor(r)
     return beta, 0.5 * (cov + cov.T), log_det_a, np.linalg.svd(r, compute_uv=False)
@@ -176,7 +184,7 @@ def _ridge_fit(y, design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) 
     _check_prior(design, prior)
     prior_chol = _checked_cholesky(prior.cov, SingularPrior, "prior covariance")
     n, m = design.n, design.m
-    prior_inv_chol = scipy.linalg.solve_triangular(prior_chol, np.eye(m), lower=True)
+    prior_inv_chol = _tri_inverse(prior_chol, True, SingularPrior, "prior covariance factor")
     shifted = y - design.phi @ prior.mean
     log_det_rest = (n - m) * math.log(sigma_e2) + _log_det_from_factor(prior_chol)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .exceptions import DegenerateDof, DimensionMismatch, LinEvidenceError, RankDeficient
 
@@ -194,6 +194,29 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
+
+
+def _tri_inverse(
+    factor: np.ndarray, lower: bool, error: type[LinEvidenceError], what: str
+) -> np.ndarray:
+    """Inverse of the lower or upper triangle of ``factor``; raises ``error``.
+
+    LAPACK ``dtrtri`` is called directly and the other triangle of the
+    result is zeroed, so the inverse stands in for SciPy's triangular solve
+    against the identity, whose threaded ``dtrtrs`` costs milliseconds on a
+    small factor (see :mod:`linevidence.gaussian_prior`).  As in that solve,
+    a non-finite ``factor`` raises ``ValueError`` with scipy's message; an
+    exactly zero diagonal entry raises ``error``, with ``what`` naming the
+    factor.
+    """
+    if not np.isfinite(factor).all():
+        raise ValueError("array must not contain infs or NaNs")
+    inv, info = dtrtri(factor, lower=int(lower))
+    if info > 0:
+        raise error(f"{what} is singular (zero diagonal entry {info})")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal trtri")
+    return np.tril(inv) if lower else np.triu(inv)
 
 
 def _log_det_from_factor(factor: np.ndarray):

@@ -302,26 +302,37 @@ def _grid_then_polish(score, points, values, bounds, options):
     point that is no candidate; ``score(vec)`` gives the polish a log value,
     or None for a point that is no candidate.  The first point with the
     highest value wins, even when every value is -inf; the polish runs only
-    from a finite best value and is kept only if higher.  Returns
-    ``(best_vec, best_value, result)``: best_vec is None when there are no
-    points, and result is the polish's ``OptimizeResult``, or None when the
-    polish did not run.
+    from a finite best value and is kept only if higher.  The polish's best
+    is the best point it scored: a Nelder-Mead run stopped by ``maxfev`` in
+    the middle of an iteration can leave a scored point out of its
+    ``result.x``, and that point is taken when it scores strictly higher than
+    ``result.fun``.  Returns ``(best_vec, best_value, result)``: best_vec is
+    None when there are no points, and result is the polish's
+    ``OptimizeResult``, or None when the polish did not run.
     """
     if len(points) == 0:
         return None, -math.inf, None
     best = int(np.argmax(values))
     best_vec, best_value, result = points[best], float(values[best]), None
     if math.isfinite(best_value):
+        scored = [-math.inf, None]  # the best finite value the polish scored, and its point
 
         def negated(vec: np.ndarray) -> float:
             value = score(vec)
-            return -value if value is not None and math.isfinite(value) else math.inf
+            if value is None or not math.isfinite(value):
+                return math.inf
+            if value > scored[0]:
+                scored[:] = value, vec  # scipy passes each point as a fresh copy
+            return -value
 
         result = scipy.optimize.minimize(
             negated, best_vec, method="Nelder-Mead", bounds=bounds, options=options
         )
-        if math.isfinite(result.fun) and -result.fun > best_value:
-            best_value, best_vec = -float(result.fun), np.asarray(result.x)
+        polished, polished_vec = -float(result.fun), np.asarray(result.x)
+        if scored[0] > polished:
+            polished, polished_vec = scored
+        if polished > best_value:
+            best_value, best_vec = polished, polished_vec
     return best_vec, best_value, result
 
 

@@ -299,6 +299,29 @@ class TestLogMarginal:
             belief.cov, prior.cov - gain @ design.phi @ prior.cov, rtol=1e-8, atol=1e-14
         )
 
+    def test_full_prior_covariance_matches_dense_oracle(self):
+        # a correlated prior with unequal scales: its Cholesky factor, and so
+        # the inverse factor that borders the augmented design, is full lower
+        # triangular, unlike the diagonal factor of every isotropic prior
+        rng = np.random.default_rng(21)
+        design = poly_design(12, 4)
+        y = rng.normal(size=12)
+        root = np.tril(rng.normal(size=(4, 4))) + np.diag([2.0, 0.5, 1.5, 0.8])
+        cov = root @ root.T
+        prior = GaussianBelief(mean=[0.3, -0.2, 0.1, 0.5], cov=0.5 * (cov + cov.T))
+        fit = gaussian_prior._ridge_fit(y, design, 0.4, prior)
+        dense = output_covariance(design, 0.4, prior)
+        want = stats.multivariate_normal.logpdf(y, design.phi @ prior.mean, dense)
+        constant = 0.5 * design.n * math.log(2.0 * math.pi)
+        assert -(fit.fitting + fit.penalty + constant) == pytest.approx(want, rel=1e-12)
+        gain = np.linalg.solve(dense, design.phi @ prior.cov).T
+        np.testing.assert_allclose(
+            fit.mean, prior.mean + gain @ (y - design.phi @ prior.mean), rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            fit.cov, prior.cov - gain @ design.phi @ prior.cov, rtol=1e-9, atol=1e-14
+        )
+
     def test_matches_monte_carlo_oracle(self):
         rng = np.random.default_rng(19)
         design = poly_design(4, 2)

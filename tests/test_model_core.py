@@ -23,7 +23,7 @@ from linevidence import (
     resampling_estimator_stats,
     residual_dof,
 )
-from linevidence.model import RANK_RTOL, _checked_cholesky, _cho_solve
+from linevidence.model import RANK_RTOL, _checked_cholesky, _cho_solve, _tri_inverse
 
 EPS = float(np.finfo(float).eps)
 
@@ -303,6 +303,57 @@ class TestChoSolve:
             scipy.linalg.cho_solve((chol, True), rhs)
         with pytest.raises(ValueError) as excinfo:
             _cho_solve(chol, rhs)
+        assert str(excinfo.value) == str(expected.value)
+
+
+def random_triangular(rng, m, lower):
+    """A random ``m x m`` matrix whose ``lower`` (or upper) triangle is nonsingular.
+
+    The other triangle is random too: the inverse must ignore it.
+    """
+    matrix = rng.standard_normal((m, m))
+    matrix[np.diag_indices(m)] = rng.choice([-1.0, 1.0], m) * rng.uniform(0.2, 3.0, m)
+    return matrix
+
+
+class TestTriInverse:
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_inverts_as_the_triangular_solve_does(self, m, lower):
+        rng = np.random.default_rng(300 + m)
+        for _ in range(10):
+            matrix = random_triangular(rng, m, lower)
+            tri = np.tril(matrix) if lower else np.triu(matrix)
+            inv = _tri_inverse(matrix, lower, SingularPrior, "prior covariance factor")
+            bound = 8.0 * m * EPS * np.linalg.cond(tri)
+            assert np.array_equal(inv, np.tril(inv) if lower else np.triu(inv))
+            assert np.linalg.norm(tri @ inv - np.eye(m), 2) <= bound
+            expected = scipy.linalg.solve_triangular(matrix, np.eye(m), lower=lower)
+            assert np.linalg.norm(inv - expected, 2) <= bound * np.linalg.norm(expected, 2)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize(
+        "error, what",
+        [(SingularPrior, "prior covariance factor"), (RankDeficient, "Gram factor")],
+    )
+    def test_zero_diagonal_entry(self, lower, error, what):
+        rng = np.random.default_rng(310)
+        for k in range(4):
+            matrix = random_triangular(rng, 4, lower)
+            matrix[k, k] = 0.0
+            with pytest.raises(error, match=f"^{what} is singular"):
+                _tri_inverse(matrix, lower, error, what)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 1), (1, 2)])
+    def test_nonfinite_factor_rejected_as_scipy_does(self, lower, bad, entry):
+        matrix = random_triangular(np.random.default_rng(320), 3, lower)
+        matrix[entry] = bad
+        with pytest.raises(ValueError) as expected:
+            scipy.linalg.solve_triangular(matrix, np.eye(3), lower=lower)
+        with pytest.raises(ValueError) as excinfo:
+            _tri_inverse(matrix, lower, SingularPrior, "prior covariance factor")
         assert str(excinfo.value) == str(expected.value)
 
 

@@ -584,6 +584,33 @@ class TestEmpiricalBayesOptimize:
         assert 0 < len(trace) - 820 <= record["refine_nfev"] < 400
         assert 0 < record["refine_nit"] <= record["refine_nfev"]
 
+    def test_capped_refine_keeps_its_best_point(self):
+        # a Nelder-Mead refine stopped by its cap in the middle of an
+        # iteration has scored a point it did not accept; before the search
+        # kept the best point the refine scored, max_evals = 50 returned a
+        # value 4.6e-7 below its own trace maximum on this replicate
+        rng = np.random.default_rng(np.random.SeedSequence([20250811, 0]))
+        y = cli._example2_truth() + rng.normal(0.0, math.sqrt(cli._EX2_SIGMA2), cli._EX2_N)
+        ds = Dataset(inputs=cli._EX2_X[:, None], outputs=y)
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=cli._EX2_SIGMA2)
+        below_trace = []
+        for max_evals in range(5, 60):
+            config = OptimizerConfig(
+                bounds={"alpha0": (-10.0, 10.0), "alpha1": (-10.0, 10.0)},
+                grid_points=11,
+                ordering=(("alpha0", "alpha1"),),
+                tolerance=1e-6,
+                max_evals=max_evals,
+            )
+            best, value, trace = empirical_bayes_optimize(
+                ds, cli._EX2_FAMILY, "log_area", config, fixed=fixed
+            )
+            top = max(v for _, v in trace)
+            at_top = [(p["alpha0"], p["alpha1"]) for p, v in trace if v == top]
+            if value != top or (best.alpha[0], best.alpha[1]) not in at_top:
+                below_trace.append(max_evals)
+        assert below_trace == []
+
     def test_record_without_a_refine(self):
         # three basis functions on two points: every design is degenerate, so
         # no refine runs, and the first feasible point wins the all -inf grid
