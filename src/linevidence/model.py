@@ -153,6 +153,40 @@ class GaussianBelief:
         return self.mean.size
 
 
+# What _checked_cholesky says of a factor, by the index _factor_faults gives:
+# 4 * (dpotrf failed) + 2 * (largest squared pivot finite) + (smallest squared
+# pivot below RANK_RTOL times the largest diagonal entry), so each index names
+# the first rule it breaks, in the order dpotrf, finiteness, threshold; None
+# where it breaks none
+_NOT_PD = "is not positive definite"
+_NON_FINITE_FACTOR = "has a non-finite Cholesky factor"
+_SINGULAR = "is numerically singular (pivot below relative threshold)"
+_FACTOR_FAULTS = (_NON_FINITE_FACTOR, _NON_FINITE_FACTOR, None, _SINGULAR) + (_NOT_PD,) * 4
+# a numpy integer: a Python int times a numpy bool takes microseconds
+_TWO = np.int64(2)
+
+
+def _factor_faults(info, chol: np.ndarray, matrix: np.ndarray):
+    """Index into ``_FACTOR_FAULTS`` of ``dpotrf``'s result for one matrix or a stack.
+
+    ``info`` and ``chol`` are ``dpotrf``'s status and lower factor of
+    ``matrix``: an int, an ``(M, M)`` factor and matrix, or a ``(K,)``
+    status array with ``(K, M, M)`` stacks, which give a ``(K,)`` array.
+    A factor ``dpotrf`` rejected is squared but not read, so it must hold
+    zeros: ``dpotrf`` leaves entries of ``matrix`` there, whose squares may
+    overflow.
+    """
+    diagonal = chol.diagonal(0, -2, -1)
+    # the diagonal of an accepted factor is positive, so the extreme squared
+    # pivots are, bitwise, the squares of its extreme entries; every entry of
+    # a row of the factor enters that row's pivot, so a non-finite factor
+    # that dpotrf accepts has an infinite or NaN pivot
+    top, low = np.maximum.reduce(diagonal, -1), np.minimum.reduce(diagonal, -1)
+    finite = top * top < math.inf
+    singular = low * low < RANK_RTOL * np.maximum.reduce(matrix.diagonal(0, -2, -1), -1)
+    return (info != 0) * 4 + _TWO * finite + singular
+
+
 def _checked_cholesky(
     matrix: np.ndarray, error: type[LinEvidenceError], what: str
 ) -> np.ndarray:
@@ -162,34 +196,41 @@ def _checked_cholesky(
     posterior precisions (``SingularPrior``); ``what`` names the matrix in
     the message.  LAPACK ``dpotrf`` is called directly, reading the lower
     triangle and zeroing the upper one, as NumPy's Cholesky does.
-    Checked here: ``dpotrf`` must succeed, the factor must be finite, and
-    no squared pivot may fall below ``RANK_RTOL`` times the largest diagonal
-    entry of ``matrix``.  A returned factor is therefore finite, and
-    :func:`_cho_solve` does not check it again.
+    Checked by :func:`_factor_faults`, in this order: ``dpotrf`` must
+    succeed, the factor must be finite, and no squared pivot may fall below
+    ``RANK_RTOL`` times the largest diagonal entry of ``matrix``.  A
+    returned factor is therefore finite, and :func:`_cho_solve` does not
+    check it again.
     """
-    chol, info = dpotrf(matrix, lower=1, clean=1)
-    if info != 0:
-        raise error(f"{what} is not positive definite")
-    pivots = chol.diagonal() ** 2
-    # every entry of a row of the factor enters that row's pivot, so a
-    # non-finite factor that dpotrf accepts has an infinite or NaN pivot
-    if not math.isfinite(pivots.max()):
-        raise error(f"{what} has a non-finite Cholesky factor")
-    if pivots.min() < RANK_RTOL * matrix.diagonal().max():
-        raise error(f"{what} is numerically singular (pivot below relative threshold)")
+    chol, info = dpotrf(matrix, 1, 1)  # lower=1, clean=1
+    if info:
+        chol.fill(0.0)
+    fault = _FACTOR_FAULTS[_factor_faults(info, chol, matrix)]
+    if fault:
+        raise error(f"{what} {fault}")
     return chol
 
 
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(chol chol^T) x = rhs`` for a factor from :func:`_checked_cholesky`.
 
-    LAPACK ``dpotrs`` is called directly; ``rhs`` may be 1-D or 2-D.  As in
-    SciPy's Cholesky solve, a non-finite ``rhs`` raises ``ValueError``
-    with scipy's message.  The factor is not checked: ``_checked_cholesky``
-    returns only finite factors.
+    LAPACK ``dpotrs`` is called directly; ``rhs`` may be 1-D or 2-D.  A
+    ``(K, M, M)`` stack of factors solves a ``(K, M)`` stack of right-hand
+    sides, one ``dpotrs`` call per factor.  As in SciPy's Cholesky solve, a
+    non-finite ``rhs`` raises ``ValueError`` with scipy's message.  The
+    factors are not checked: ``_checked_cholesky`` returns only finite ones.
     """
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
+    if chol.ndim == 3:
+        x = np.empty(rhs.shape)
+        for k in range(len(chol)):
+            x[k] = _potrs(chol[k], rhs[k])
+        return x
+    return _potrs(chol, rhs)
+
+
+def _potrs(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x, info = dpotrs(chol, rhs, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
@@ -268,7 +309,9 @@ def _basis_matrix(family: BasisFamily, alpha: np.ndarray, x: np.ndarray) -> np.n
 
     Leading axes of ``alpha`` index designs, so a ``(K, P)`` stack gives the
     K designs at once, as the search's grid stage scores them; each design
-    is bitwise equal to its own one-design call.  A 1-D ``alpha`` gives one
+    is bitwise equal to its own one-design call.  A located family evaluates
+    each distinct center of a stack once, as the columns of one design, and
+    gathers them into a C-contiguous stack.  A 1-D ``alpha`` gives one
     ``(N, M)`` design.
     """
     n, d = x.shape
@@ -282,7 +325,16 @@ def _basis_matrix(family: BasisFamily, alpha: np.ndarray, x: np.ndarray) -> np.n
     t = x[:, 0]
     if family.kind == "polynomial":
         return np.tile(np.vander(t, family.size, increasing=True), lead + (1, 1))
-    diff = t[:, None] - alpha[..., None, :]
+    if lead:
+        # elementwise, so a gathered column is bitwise its center's own
+        centers, columns = np.unique(alpha, return_inverse=True)
+        bank = _basis_matrix(family, centers, x).T
+        columns = columns.reshape(alpha.shape)
+        phi = np.empty(lead + (n, family.size))
+        for j in range(family.size):
+            phi[..., j] = bank[columns[..., j]]
+        return phi
+    diff = t[:, None] - alpha
     if family.kind == "gaussian-rbf":
         return np.exp(-0.5 * (diff / family.width) ** 2)
     return np.exp(np.abs(diff))
@@ -354,44 +406,53 @@ def _design_stack(family: BasisFamily, alphas: np.ndarray, x: np.ndarray):
     return phi, gram, finite
 
 
+_NON_FINITE_DESIGN = "design matrix contains non-finite entries"
+_GRAM = "Gram matrix"
+# what _gram_factor raises of a finite design, by _factor_faults's index
+_GRAM_FAULTS = tuple(fault and f"{_GRAM} {fault}" for fault in _FACTOR_FAULTS)
+
+
 def _gram_factor(gram: np.ndarray, finite: bool) -> np.ndarray:
     """The checked Cholesky factor of one design's Gram matrix from :func:`_design_stack`."""
     if not finite:
-        raise RankDeficient("design matrix contains non-finite entries")
-    return _checked_cholesky(gram, RankDeficient, "Gram matrix")
+        raise RankDeficient(_NON_FINITE_DESIGN)
+    return _checked_cholesky(gram, RankDeficient, _GRAM)
 
 
 def _fit_stack(y: np.ndarray, family: BasisFamily, alphas: np.ndarray, x: np.ndarray):
     """Least-squares fits of the designs of a ``(K, P)`` stack of checked alphas.
 
-    Returns ``(admitted, rss, log_det_gram)``: ``admitted`` flags the designs
-    :func:`build_design_matrix` accepts, and the other two hold, for those
-    designs in order, what :func:`_residual_sum_of_squares` and
-    ``DesignMatrix.log_det_gram`` give each one built alone, bitwise.  The
-    Gram matrices, ``Phi^T y`` and the residuals are stacked products; each
-    design is factored and solved through :func:`_gram_factor` and
-    :func:`_cho_solve`.  Raises ``RankDeficient`` when M > N.
+    Returns ``(admitted, rss, log_det_gram, faults)``: ``admitted`` flags the
+    designs :func:`build_design_matrix` accepts, ``rss`` and
+    ``log_det_gram`` hold, for those designs in order, what
+    :func:`_residual_sum_of_squares` and ``DesignMatrix.log_det_gram`` give
+    each one built alone, bitwise, and ``faults`` lists, for every design,
+    the message of the ``RankDeficient`` that ``build_design_matrix`` raises
+    there, or None where it raises none.  The Gram matrices, ``Phi^T y``
+    and the residuals are stacked products.  Each finite design is factored
+    by one ``dpotrf`` call, and :func:`_factor_faults` judges the factors
+    at once, as :func:`_gram_factor` judges one; the admitted ones are
+    solved by :func:`_cho_solve`.  Raises ``RankDeficient`` when M > N.
     """
     phi, gram, finite = _design_stack(family, alphas, x)
-    admitted = np.zeros(len(phi), dtype=bool)
-    chols = []
-    for k in range(len(phi)):
-        try:
-            chols.append(_gram_factor(gram[k], finite[k]))
-        except RankDeficient:
-            continue
-        admitted[k] = True
-    phi = phi[admitted]
-    m = phi.shape[-1]
-    chol = np.array(chols).reshape(-1, m, m)
-    rhs = phi.swapaxes(-1, -2) @ y
-    theta = np.empty((len(chol), m))
-    for k in range(len(chol)):
-        theta[k] = _cho_solve(chol[k], rhs[k])
+    chol = np.zeros_like(gram)
+    info = np.zeros(len(gram), dtype=int)
+    for k in np.flatnonzero(finite):
+        chol[k], info[k] = dpotrf(gram[k], 1, 1)  # lower=1, clean=1
+    chol[info != 0] = 0.0  # as _factor_faults requires
+    # a non-finite design is never factored, and its verdict is not read
+    codes = _factor_faults(info, chol, gram).tolist()
+    faults = [
+        _GRAM_FAULTS[code] if ok else _NON_FINITE_DESIGN
+        for ok, code in zip(finite.tolist(), codes)
+    ]
+    admitted = np.array([fault is None for fault in faults], dtype=bool)
+    phi, chol = phi[admitted], chol[admitted]
+    theta = _cho_solve(chol, phi.swapaxes(-1, -2) @ y)
     resid = y - (phi @ theta[..., None])[..., 0]
     # direct sums of squares, as _residual_sum_of_squares takes them
     rss = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
-    return admitted, rss, _log_det_from_factor(chol)
+    return admitted, rss, _log_det_from_factor(chol), faults
 
 
 def log_likelihood(y, design: DesignMatrix, theta, sigma_e2: float) -> float:

@@ -6,8 +6,9 @@ averaging weights require every candidate to carry the same ``kind`` tag.
 """
 from __future__ import annotations
 
-import itertools
+import collections
 import math
+import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -35,8 +36,10 @@ OBJECTIVES = ("log_area",)
 _DEGENERATE = (RankDeficient, SingularPrior, DegenerateDof)
 
 # Designs per stacked block of the search's grid stage.  A block's bases,
-# (block, N, M), are held at once, so the search's peak memory grows with it;
-# 32 designs already amortize the per-call cost of the stacked products.
+# (block, N, M), are held at once, so the search's peak memory grows with it,
+# and a larger block adds that transient memory to the benchmark's
+# peak_rss_mb; 32 designs already amortize the per-call cost of the stacked
+# products.
 _GRID_BLOCK = 32
 
 
@@ -205,6 +208,27 @@ class _Sweep:
         model._check_noise_var(sigma_e2)
         return merged[:-1], sigma_e2
 
+    def merge(self, vecs: np.ndarray):
+        """``(kept, merged)`` of a ``(P, len(names))`` array of points, by :meth:`at`'s rules.
+
+        ``kept`` flags the feasible points, and ``merged`` holds one row per
+        feasible point, in order: its alphas, then its sigma_e2, bitwise what
+        :meth:`at` gives.  A point with a broken ordering is infeasible
+        whatever its variance, and one with a nonpositive sigma_e2 is
+        infeasible; a feasible ordering with a NaN or infinite sigma_e2
+        raises.
+        """
+        merged = np.tile(self._base, (len(vecs), 1))
+        merged[:, self._slots] = vecs
+        kept = ~(merged[:, -1] <= 0)
+        for lo, hi in self._ordering:
+            kept &= vecs[:, lo] < vecs[:, hi]
+        merged = merged[kept]
+        nonfinite = merged[~np.isfinite(merged[:, -1]), -1]
+        if nonfinite.size:
+            model._check_noise_var(float(nonfinite[0]))
+        return kept, merged
+
 
 def _check_objective(objective: str) -> None:
     if objective not in OBJECTIVES:
@@ -268,29 +292,34 @@ def _score_design(fit_for, point, score):
         return None
 
 
-def _grid_log_area(dataset: Dataset, family: BasisFamily, points) -> np.ndarray:
-    """log S at every ``(alpha, sigma_e2)`` of ``points``, -inf where degenerate.
+def _grid_log_area(
+    dataset: Dataset, family: BasisFamily, alphas: np.ndarray, sigma_e2: np.ndarray
+):
+    """log S at each row of ``alphas`` with its ``sigma_e2``, -inf where degenerate.
 
     Scored in stacked blocks of ``_GRID_BLOCK`` designs by
     ``model._fit_stack``; each value is bitwise equal to
-    :func:`evaluate_objective` at that point.
+    :func:`evaluate_objective` at that point.  Returns the values and the
+    degenerate points counted by the message of the ``RankDeficient`` that
+    ``build_design_matrix`` raises there.
     """
-    values = np.full(len(points), -math.inf)
+    values = np.full(len(alphas), -math.inf)
+    reasons = collections.Counter()
     dof = dataset.n - family.size
-    for start in range(0, len(points), _GRID_BLOCK):
-        block = points[start : start + _GRID_BLOCK]
-        alphas = np.array([alpha for alpha, _ in block])
-        sigma_e2 = np.array([s for _, s in block])
+    for start in range(0, len(alphas), _GRID_BLOCK):
+        block = slice(start, start + _GRID_BLOCK)
         try:
-            admitted, rss, log_det = model._fit_stack(
-                dataset.outputs, family, alphas, dataset.inputs
+            admitted, rss, log_det, faults = model._fit_stack(
+                dataset.outputs, family, alphas[block], dataset.inputs
             )
-        except _DEGENERATE:
+        except _DEGENERATE as exc:
+            reasons[str(exc)] += len(alphas[block])
             continue
+        reasons.update(fault for fault in faults if fault is not None)
         values[start + np.flatnonzero(admitted)] = improper_prior._log_area_values(
-            rss, log_det, dof, sigma_e2[admitted]
+            rss, log_det, dof, sigma_e2[block][admitted]
         )
-    return values
+    return values, reasons
 
 
 # Private, like the scorers above: a traced run wraps every public function, and
@@ -366,30 +395,34 @@ def empirical_bayes_optimize(
     returned trace, grid points in grid order and then refine points, so
     reruns are byte-for-byte reproducible.
 
-    A ``record`` dict, when given, is filled with the run's counts:
-    ``grid_evals`` (feasible grid points scored), ``grid_degenerate`` (those
-    scoring -inf), and the refine's ``refine_nfev``, ``refine_nit`` and
-    ``refine_status`` (scipy's; 0 means converged).  Without a refine the
+    A ``record`` dict, when given, is filled with the run's counts and
+    times: ``grid_evals`` (feasible grid points scored), ``grid_degenerate``
+    (those scoring -inf), ``grid_degenerate_by_reason`` (those counted by
+    the message of the ``RankDeficient`` that :func:`build_design_matrix`
+    raises there), ``grid_s`` (the grid stage's wall seconds), the refine's
+    ``refine_nfev``, ``refine_nit`` and ``refine_status`` (scipy's; 0 means
+    converged) and ``refine_s`` (its wall seconds).  Without a refine the
     two counts are 0 and the status is None.
 
     Returns ``(best_params, best_value, trace)``.
     """
     _check_objective(objective)
     sweep = _Sweep(config.bounds, fixed, family, config.ordering)
+    started = time.perf_counter()
     axes = [np.linspace(lo, hi, config.grid_points) for lo, hi in config.bounds.values()]
-    vecs, points = [], []
-    for combo in itertools.product(*axes):
-        vec = np.asarray(combo)
-        point = sweep.at(vec)
-        if point is not None:
-            vecs.append(vec)
-            points.append(point)
-    values = _grid_log_area(dataset, family, points)
+    # the tensor grid in itertools.product order: the last name varies fastest
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    kept, merged = sweep.merge(grid)
+    vecs = grid[kept]
+    values, reasons = _grid_log_area(dataset, family, merged[:, :-1], merged[:, -1])
+    trace = [
+        (dict(zip(sweep.names, vec)), value)
+        for vec, value in zip(vecs.tolist(), values.tolist())
+    ]
+    grid_s = time.perf_counter() - started
 
     def named(vec: np.ndarray) -> dict:
         return dict(zip(sweep.names, (float(v) for v in vec)))
-
-    trace = [(named(vec), float(value)) for vec, value in zip(vecs, values)]
 
     def score(vec: np.ndarray) -> float | None:
         point = sweep.at(vec)
@@ -399,6 +432,7 @@ def empirical_bayes_optimize(
         trace.append((named(vec), value))
         return value
 
+    started = time.perf_counter()
     best_vec, best_value, result = _grid_then_polish(
         score,
         vecs,
@@ -410,13 +444,17 @@ def empirical_bayes_optimize(
             "maxfev": config.max_evals,
         },
     )
+    refine_s = time.perf_counter() - started
     if record is not None:
         record.update(
-            grid_evals=len(points),
+            grid_evals=len(vecs),
             grid_degenerate=int(np.sum(np.isneginf(values))),
+            grid_degenerate_by_reason=dict(sorted(reasons.items())),
+            grid_s=grid_s,
             refine_nfev=0 if result is None else int(result.nfev),
             refine_nit=0 if result is None else int(result.nit),
             refine_status=None if result is None else int(result.status),
+            refine_s=refine_s,
         )
     if best_vec is None:
         raise EmptyFeasibleGrid("constraints exclude every grid point")

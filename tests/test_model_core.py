@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from linevidence import (
@@ -23,6 +25,7 @@ from linevidence import (
     resampling_estimator_stats,
     residual_dof,
 )
+from linevidence import improper_prior, model
 from linevidence.model import RANK_RTOL, _checked_cholesky, _cho_solve, _tri_inverse
 
 EPS = float(np.finfo(float).eps)
@@ -273,6 +276,13 @@ class TestCheckedCholesky:
         with pytest.raises(RankDeficient):
             _checked_cholesky(np.array(matrix), RankDeficient, "Gram matrix")
 
+    def test_nonfinite_factor_reported_before_the_pivot_threshold(self):
+        # dpotrf accepts this matrix with the factor [[inf, 0], [0, 1]], whose
+        # pivot 1 is also below RANK_RTOL times the infinite diagonal entry
+        message = "^Gram matrix has a non-finite Cholesky factor$"
+        with pytest.raises(RankDeficient, match=message):
+            _checked_cholesky(np.array([[np.inf, 1.0], [1.0, 1.0]]), RankDeficient, "Gram matrix")
+
 
 class TestChoSolve:
     @pytest.mark.parametrize("m", range(1, 13))
@@ -304,6 +314,70 @@ class TestChoSolve:
         with pytest.raises(ValueError) as excinfo:
             _cho_solve(chol, rhs)
         assert str(excinfo.value) == str(expected.value)
+
+
+# Centers come from a small pool, so a stack repeats centers within and across
+# designs.  From inputs in [-10, 10], an exponential-abs column centered at
+# 300 is finite with a finite square, one at 400 is finite with a square past
+# the largest float, and one at +-900 overflows.
+_POOL_CENTERS = st.sampled_from([-900.0, -2.0, -0.5, 0.0, 0.5, 1.0, 3.0, 300.0, 400.0, 900.0])
+
+
+@st.composite
+def design_stacks(draw):
+    """``(dataset, family, alphas)``: a located family and a (K, M) stack of centers."""
+    kind = draw(st.sampled_from(["gaussian-rbf", "exponential-abs"]))
+    m = draw(st.integers(1, 4))
+    family = BasisFamily(kind, m, width=draw(st.sampled_from([0.3, 1.0, 4.0])))
+    n = draw(st.integers(1, 8))  # M > N included
+    x = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    y = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    centers = _POOL_CENTERS | st.floats(-5.0, 5.0)
+    k = draw(st.integers(1, 6))
+    alphas = draw(st.lists(st.lists(centers, min_size=m, max_size=m), min_size=k, max_size=k))
+    return Dataset(inputs=x, outputs=y), family, np.array(alphas)
+
+
+class TestStackedDesigns:
+    """A stack of designs is bitwise the designs built one at a time."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(design_stacks())
+    def test_banked_basis_equals_one_design_bases(self, case):
+        dataset, family, alphas = case
+        with np.errstate(over="ignore"):
+            stacked = model._basis_matrix(family, alphas, dataset.inputs)
+            alone = np.array([model._basis_matrix(family, alpha, dataset.inputs) for alpha in alphas])
+        assert stacked.flags.c_contiguous
+        assert stacked.shape == alone.shape
+        assert stacked.tobytes() == alone.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(design_stacks())
+    def test_fit_stack_equals_one_design_fits(self, case):
+        dataset, family, alphas = case
+        y = dataset.outputs
+        faults, fits = [], []
+        for alpha in alphas:
+            try:
+                design = build_design_matrix(dataset, family, alpha)
+            except RankDeficient as exc:
+                faults.append(str(exc))
+                continue
+            faults.append(None)
+            fits.append(improper_prior._flat_fit(y, design))
+        try:
+            admitted, rss, log_det_gram, stack_faults = model._fit_stack(
+                y, family, alphas, dataset.inputs
+            )
+        except RankDeficient as exc:
+            # M > N, which every design of the stack raises alike
+            assert set(faults) == {str(exc)}
+            return
+        assert stack_faults == faults
+        assert admitted.tolist() == [fault is None for fault in faults]
+        assert rss.tobytes() == np.array([fit.rss for fit in fits]).tobytes()
+        assert log_det_gram.tobytes() == np.array([fit.log_det_gram for fit in fits]).tobytes()
 
 
 def random_triangular(rng, m, lower):

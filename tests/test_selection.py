@@ -1,4 +1,5 @@
 """Score comparison, averaging weights, and hyperparameter search."""
+import collections
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from linevidence import (
     MixedKinds,
     ModelScore,
     OptimizerConfig,
+    RankDeficient,
     bma_weights,
     build_design_matrix,
     build_hyper_posterior,
@@ -224,6 +226,72 @@ class TestSweepChecks:
         assert built == []
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+class TestSweepMerge:
+    """The search's grid merges all its points at once by _Sweep.merge, which
+    must keep, merge and reject each row as _Sweep.at does."""
+
+    FAMILY = BasisFamily("gaussian-rbf", 2, width=1.0)
+    FIXED = HyperParams(alpha=[0.5, 1.5], sigma_e2=0.5)
+
+    @pytest.mark.parametrize(
+        "names, ordering, rows",
+        [
+            pytest.param(
+                ["alpha0", "alpha1"], (("alpha0", "alpha1"),),
+                [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [_NAN, 1.0], [-_INF, _INF]],
+                id="broken-ordering",
+            ),
+            pytest.param(
+                ["sigma_e2"], (), [[2.0], [0.0], [-1.0], [5e-324], [-0.0]],
+                id="nonpositive-sigma_e2",
+            ),
+            pytest.param(
+                ["sigma_e2"], (), [[1.0], [-_INF], [3.0]], id="minus-inf-sigma_e2"
+            ),
+            pytest.param(
+                ["alpha1", "sigma_e2"], (), [[0.0, 1.0], [3.0, -2.0], [-4.0, 0.25]],
+                id="alpha0-fixed",
+            ),
+            pytest.param(
+                ["sigma_e2", "alpha1", "alpha0"], (("alpha0", "alpha1"),),
+                [[1.0, 2.0, 0.0], [_NAN, 0.0, 1.0], [_INF, 0.0, 0.0], [-1.0, 1.0, 0.0]],
+                id="broken-ordering-before-variance",
+            ),
+            pytest.param(["sigma_e2"], (), [[1.0], [_NAN], [-1.0]], id="nan-sigma_e2-raises"),
+            pytest.param(
+                ["alpha0", "sigma_e2"], (), [[0.0, 1.0], [0.0, -1.0], [0.0, _INF]],
+                id="inf-sigma_e2-raises",
+            ),
+            pytest.param(
+                ["alpha1", "alpha0", "sigma_e2"], (("alpha0", "alpha1"),),
+                [[1.0, 0.0, 2.0], [0.0, 1.0, _NAN], [1.0, 0.0, _NAN]],
+                id="ordered-nan-sigma_e2-raises",
+            ),
+        ],
+    )
+    def test_merge_equals_at_row_by_row(self, names, ordering, rows):
+        sweep = selection._Sweep(names, self.FIXED, self.FAMILY, ordering)
+        vecs = np.array(rows)
+        expected, raised = [], None
+        for vec in vecs:
+            try:
+                expected.append(sweep.at(vec))
+            except ValueError as exc:
+                raised = exc
+                break
+        if raised is not None:
+            with pytest.raises(type(raised), match=f"^{raised}$"):
+                sweep.merge(vecs)
+            return
+        kept, merged = sweep.merge(vecs)
+        assert kept.tolist() == [point is not None for point in expected]
+        points = [np.append(*point) for point in expected if point is not None]
+        assert merged.tobytes() == np.array(points).reshape(-1, 3).tobytes()
+
+
 class TestEvaluateObjective:
     def test_degenerate_design_scores_minus_inf(self):
         ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
@@ -395,6 +463,88 @@ class TestStackedGrid:
         config = OptimizerConfig(bounds={"sigma_e2": (0.5, 2.0)}, grid_points=3)
         with pytest.raises(ValueError, match="all report terms must be finite"):
             empirical_bayes_optimize(ds, CONSTANT, "log_area", config, fixed=_VARIANCE_FIXED)
+
+
+class TestGridRecord:
+    """The search's record counts its degenerate grid points by reason: the
+    message of the RankDeficient that build_design_matrix raises there."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(
+                _grid_case(
+                    Dataset(inputs=_X12, outputs=np.cos(3.0 * _X12)),
+                    _RBF2,
+                    {"alpha0": (-1.0, 1.0), "alpha1": (-1.0, 1.0)},
+                    9,
+                    _CENTERS_FIXED,
+                ),
+                id="rbf-equal-centers",
+            ),
+            pytest.param(
+                _grid_case(
+                    Dataset(inputs=_X800, outputs=np.cos(_X800 / 40.0)),
+                    _EXP2,
+                    {"alpha0": (0.0, 800.0), "alpha1": (0.0, 800.0)},
+                    9,
+                    _CENTERS_FIXED,
+                    ordering=(("alpha0", "alpha1"),),
+                ),
+                id="overflowing-basis",
+            ),
+            pytest.param(
+                _grid_case(
+                    Dataset(inputs=_X400, outputs=np.cos(_X400 / 40.0)),
+                    _EXP2,
+                    {"alpha0": (0.0, 400.0), "alpha1": (0.0, 400.0)},
+                    9,
+                    HyperParams(alpha=[0.0, 0.0], sigma_e2=0.01),
+                    ordering=(("alpha0", "alpha1"),),
+                ),
+                id="overflowing-gram",
+            ),
+            pytest.param(
+                _grid_case(
+                    TWO_POINT, BasisFamily("polynomial", 3), {"sigma_e2": (0.5, 4.0)}, 5,
+                    _VARIANCE_FIXED,
+                ),
+                id="more-basis-than-points",
+            ),
+            pytest.param(
+                _grid_case(
+                    Dataset(
+                        inputs=cli._EX2_X,
+                        outputs=cli._example2_truth()
+                        + np.random.default_rng(np.random.SeedSequence([20250811, 0])).normal(
+                            0.0, math.sqrt(cli._EX2_SIGMA2), cli._EX2_N
+                        ),
+                    ),
+                    cli._EX2_FAMILY,
+                    {"alpha0": (-10.0, 10.0), "alpha1": (-10.0, 10.0)},
+                    41,
+                    HyperParams(alpha=[0.0, 0.0], sigma_e2=cli._EX2_SIGMA2),
+                    ordering=(("alpha0", "alpha1"),),
+                ),
+                id="example2-replicate-0",
+            ),
+        ],
+    )
+    def test_reasons_are_what_build_design_matrix_raises(self, case):
+        dataset, family, config, fixed = case
+        record = {}
+        _, _, trace = empirical_bayes_optimize(
+            dataset, family, "log_area", config, fixed=fixed, record=record
+        )
+        raised = collections.Counter()
+        for point, value in trace[: record["grid_evals"]]:
+            if value == -math.inf:
+                with pytest.raises(RankDeficient) as excinfo:
+                    build_design_matrix(dataset, family, _params_at(point, fixed).alpha)
+                raised[str(excinfo.value)] += 1
+        reasons = record["grid_degenerate_by_reason"]
+        assert sum(reasons.values()) == record["grid_degenerate"] > 0
+        assert reasons == dict(raised)
 
 
 class TestEmpiricalBayesOptimize:
@@ -579,7 +729,12 @@ class TestEmpiricalBayesOptimize:
         )
         assert record["grid_evals"] == 820
         assert record["grid_degenerate"] == 64
+        assert record["grid_degenerate_by_reason"] == {
+            "Gram matrix is numerically singular (pivot below relative threshold)": 58,
+            "Gram matrix is not positive definite": 6,
+        }
         assert record["refine_status"] == 0
+        assert record["grid_s"] > 0.0 and record["refine_s"] > 0.0
         # every refine point in the trace is one the refine evaluated
         assert 0 < len(trace) - 820 <= record["refine_nfev"] < 400
         assert 0 < record["refine_nit"] <= record["refine_nfev"]
@@ -623,9 +778,12 @@ class TestEmpiricalBayesOptimize:
         assert value == -math.inf
         assert [p["sigma_e2"] for p, _ in trace] == [1.0, 3.0, 5.0]
         assert best.sigma_e2 == 1.0
+        assert record.pop("grid_s") >= 0.0
+        assert record.pop("refine_s") >= 0.0
         assert record == {
             "grid_evals": 3,
             "grid_degenerate": 3,
+            "grid_degenerate_by_reason": {"more basis functions (3) than observations (2)": 3},
             "refine_nfev": 0,
             "refine_nit": 0,
             "refine_status": None,
