@@ -11,6 +11,7 @@ weights.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .model import (
     _log_likelihood_at,
     _residual_energy,
 )
-from .selection import _fit_memo, _score_design, _Sweep
+from .selection import _score_points, _Sweep
 
 _BOUNDARY_MASS_LIMIT = 0.5
 
@@ -75,23 +76,12 @@ def build_hyper_posterior(
     least two values bound that box; a grid on which no axis varies is one
     point, all of it boundary.
 
-    ``names``, ``fixed`` and ``family`` are checked once for the whole grid,
-    as every sweep of the package checks them: the fixed alpha's length,
-    known names (``alpha<i>`` and ``sigma_e2``), no slot set twice, alphas in
-    range, and every alpha and sigma_e2 either fixed or free.  A point is
-    then checked only for its own values: a NaN or infinite sigma_e2 or
-    alpha raises; no ``HyperParams`` is built per point.
-
-    The design and its flat-prior fit (theta_hat, residual sum of squares,
-    log det and inverse of Phi^T Phi) depend on the basis parameters alone:
-    here, in :func:`averaged_model_loglik` and in ``profile_likelihood``,
-    consecutive points with equal alpha share one design build and one fit,
-    and each of their sigma_e2 values costs arithmetic only.  A grid that
-    lists the variances innermost, as
-    ``itertools.product(alpha_axes..., sigma_axis)`` does, builds and fits
-    each admissible design once (a degenerate one raises again at every
-    point); with a variance outermost every point builds and fits its own.
-    Weights and posteriors do not depend on the order.
+    ``names``, ``fixed`` and ``family`` are checked once for the whole grid
+    (the fixed alpha's length, known names, no slot set twice, alphas in
+    range, every parameter fixed or free); a point is checked only for its
+    own values (a NaN or infinite sigma_e2 or alpha raises).  The
+    flat-prior fit depends on alpha alone, so every sweep over such a grid
+    builds and fits each distinct alpha once, in any order of the points.
     """
     sweep = _Sweep(names, fixed, family)
     points = sweep.grid(eta_points)
@@ -102,10 +92,8 @@ def build_hyper_posterior(
             improper_prior._flat_posterior(fit, sigma_e2),
         )
 
-    fit_for = _fit_memo(
-        dataset, family, lambda y, design: improper_prior._flat_fit(y, design, posterior=True)
-    )
-    scored = [_score_design(fit_for, sweep.at(vec), weigh) for vec in points]
+    fit = functools.partial(improper_prior._flat_fit, posterior=True)
+    _, scored = _score_points(sweep, points, dataset, family, fit, weigh)
     failed = np.array([s is None for s in scored])
     if np.all(failed):
         raise AllDegenerate("every grid point has weight zero")
@@ -173,25 +161,26 @@ def averaged_model_loglik(
 ) -> float:
     """log of the grid-averaged likelihood sum_i p(eta_i | y) p(y | theta, eta_i).
 
-    Evaluated by log-sum-exp; grid points with zero probability are skipped,
-    so flagged degenerate points never contribute.  A degenerate design at a
-    point with mass raises, and so does a ``theta`` of the wrong length.  As in
-    :func:`build_hyper_posterior`, consecutive points with equal alpha share
-    one design build and one fit, here the residual ``||y - Phi theta||^2``,
-    and each of their sigma_e2 values costs arithmetic only, so the grid's
-    order sets how many designs are built but not the result.  The grid's
-    names and fixed baseline are checked against ``family`` once.
+    Evaluated by log-sum-exp over the points with mass, each distinct alpha
+    built once.  A point with mass raises where its design is degenerate
+    (``RankDeficient``) or it is infeasible (``ValueError``); so does a
+    ``theta`` of the wrong length.
     """
     sweep = _Sweep(grid.names, grid.fixed, family)
-    energy_for = _fit_memo(dataset, family, lambda y, design: _residual_energy(y, design, theta))
-    terms = []
-    for i in range(grid.size):
-        p = grid.probs[i]
-        if p <= 0.0:
-            continue
-        alpha, sigma_e2 = sweep.at(grid.points[i])
-        ll = _log_likelihood_at(dataset.n, energy_for(alpha), sigma_e2)
-        terms.append(math.log(p) + ll)
-    if not terms:
+    mass = np.flatnonzero(grid.probs > 0.0)
+    if mass.size == 0:
         raise AllDegenerate("no usable grid points")
+    kept, loglik = _score_points(
+        sweep,
+        grid.points[mass],
+        dataset,
+        family,
+        lambda y, design: _residual_energy(y, design, theta),
+        lambda energy, sigma_e2: _log_likelihood_at(dataset.n, energy, sigma_e2),
+        catch=(),
+    )
+    if not np.all(kept):
+        point = grid.points[mass[np.argmin(kept)]]
+        raise ValueError(f"grid point {point.tolist()} carries mass but is infeasible")
+    terms = [math.log(grid.probs[i]) + ll for i, ll in zip(mass, loglik)]
     return float(scipy.special.logsumexp(terms))

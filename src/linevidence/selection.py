@@ -230,6 +230,39 @@ class _Sweep:
         return kept, merged
 
 
+def _fit_design(dataset: Dataset, family: BasisFamily, alpha, fit, catch=_DEGENERATE):
+    """``fit(dataset.outputs, design)`` of alpha's design, or None where ``catch`` is raised."""
+    try:
+        return fit(dataset.outputs, build_design_matrix(dataset, family, alpha))
+    except catch:
+        return None
+
+
+def _score_points(
+    sweep: _Sweep, points, dataset: Dataset, family: BasisFamily, fit, score, catch=_DEGENERATE
+):
+    """``(kept, scored)`` of a sweep's ``(P, len(names))`` points, each distinct alpha fitted once.
+
+    ``kept`` flags the feasible points, by :meth:`_Sweep.merge`.  ``scored``
+    holds, per point, ``score(fit, sigma_e2)`` of the :func:`_fit_design` of
+    its alpha, or None where the point is infeasible or that is None.  Each
+    fit is dropped once its points are scored, so one is held at a time.
+    """
+    kept, merged = sweep.merge(points)
+    distinct, inverse, counts = np.unique(
+        merged[:, :-1], axis=0, return_inverse=True, return_counts=True
+    )
+    rows, sigmas = np.flatnonzero(kept), merged[:, -1].tolist()
+    groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    scored = [None] * len(points)
+    for alpha, group in zip(distinct, groups):
+        fitted = _fit_design(dataset, family, alpha, fit, catch)
+        if fitted is not None:
+            for k in group.tolist():
+                scored[rows[k]] = score(fitted, sigmas[k])
+    return kept, scored
+
+
 def _check_objective(objective: str) -> None:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -252,44 +285,6 @@ def evaluate_objective(
         ).log_value
     except _DEGENERATE:
         return -math.inf
-
-
-def _fit_memo(dataset: Dataset, family: BasisFamily, fit):
-    """A ``fit_for(alpha)`` giving ``fit(dataset.outputs, design)`` of alpha's design.
-
-    It holds at most one result: ``fit`` of the last design built, keyed by
-    ``alpha``'s bytes.  Any other alpha is built through this module's
-    ``build_design_matrix`` binding and fitted, and the held result is
-    replaced only when both succeed, so a degenerate alpha raises afresh at
-    every call and no exception is ever stored.  Points that share alpha
-    therefore share one build and one fit only when they are consecutive.
-    """
-    held_key, held = None, None
-
-    def fit_for(alpha: np.ndarray):
-        nonlocal held_key, held
-        key = alpha.tobytes()
-        if key != held_key:
-            design = build_design_matrix(dataset, family, alpha)
-            held, held_key = fit(dataset.outputs, design), key
-        return held
-
-    return fit_for
-
-
-def _score_design(fit_for, point, score):
-    """``score(fit_for(alpha), sigma_e2)`` at ``point = (alpha, sigma_e2)``.
-
-    None where the point is None, as ``_Sweep.at`` gives for an infeasible
-    one, or where its design, fit or score is degenerate.
-    """
-    if point is None:
-        return None
-    alpha, sigma_e2 = point
-    try:
-        return score(fit_for(alpha), sigma_e2)
-    except _DEGENERATE:
-        return None
 
 
 def _grid_log_area(
@@ -483,26 +478,29 @@ def profile_likelihood(
     """Likelihood maximized over theta, profiled on a hyperparameter grid.
 
     At each point the likelihood is evaluated at the closed-form ML
-    coefficients, from the residual of their least-squares fit; consecutive
-    points with equal alpha, in the grid or the polish, share one design
-    build and one fit.  Values are normalized by the larger of the grid
-    maximum and an unbounded Nelder-Mead polish started from the best grid
-    point, so the normalized profile lies in (0, 1] wherever it is defined;
-    grid points with a nonpositive variance or a degenerate design are
-    flagged in ``failed`` and get zero weight rather than failing the sweep.
+    coefficients, from the residual of their least-squares fit; the grid
+    builds and fits each distinct alpha once.  Values are normalized by the
+    larger of the grid maximum and an unbounded Nelder-Mead polish started
+    from the best grid point, so the normalized profile lies in (0, 1]
+    wherever it is defined; grid points with a nonpositive variance or a
+    degenerate design are flagged in ``failed`` and get zero weight rather
+    than failing the sweep.
     """
     sweep = _Sweep(names, fixed, family)
     points = sweep.grid(eta_points)
-
-    fit_for = _fit_memo(dataset, family, improper_prior._flat_fit)
 
     def profiled(fit, sigma_e2: float) -> float:
         return model._log_likelihood_at(dataset.n, fit.rss, sigma_e2)
 
     def score(vec: np.ndarray) -> float | None:
-        return _score_design(fit_for, sweep.at(vec), profiled)
+        point = sweep.at(vec)
+        if point is None:
+            return None
+        fit = _fit_design(dataset, family, point[0], improper_prior._flat_fit)
+        return None if fit is None else profiled(fit, point[1])
 
-    log_values = np.array([-math.inf if v is None else v for v in map(score, points)])
+    _, scored = _score_points(sweep, points, dataset, family, improper_prior._flat_fit, profiled)
+    log_values = np.array([-math.inf if v is None else v for v in scored])
     _, log_max, _ = _grid_then_polish(
         score,
         points,

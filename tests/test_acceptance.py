@@ -22,6 +22,7 @@ from linevidence import (
     bma_weights,
     build_design_matrix,
     diffuse_limit_decomposition,
+    flat_posterior_coefficients,
     isotropic_prior,
     log_area_under_likelihood,
     log_marginal_likelihood,
@@ -31,6 +32,7 @@ from linevidence import (
     penalty_crossing_scale,
     quadrature_log_area,
     resampling_estimator_stats,
+    unbiased_noise_variance,
 )
 from linevidence.cli import (
     _EX2_ALPHA,
@@ -315,24 +317,40 @@ def test_criterion_6_estimator_unbiasedness():
     x = np.linspace(-1.0, 1.0, n)
     ds = Dataset(inputs=x[:, None], outputs=np.zeros(n))
     design = build_design_matrix(ds, BasisFamily("polynomial", m), [])
-    stats = resampling_estimator_stats(
-        design, np.array([1.0, -2.0, 0.5]), sigma2, 10_000, seed=SEED + 2
-    )
+    theta, reps, seed = np.array([1.0, -2.0, 0.5]), 10_000, SEED + 2
+    stats = resampling_estimator_stats(design, theta, sigma2, reps, seed=seed)
     se_unb = math.sqrt(stats.sigma2_unbiased_var / stats.n_reps)
     se_ml = math.sqrt(stats.sigma2_ml_var / stats.n_reps)
     target_ml = (n - m) / n * sigma2
     unb_ok = abs(stats.sigma2_unbiased_mean - sigma2) <= 3 * se_unb
     ml_ok = abs(stats.sigma2_ml_mean - target_ml) <= 3 * se_ml
+    # the package's estimator on the oracle's own draws, regenerated from its seed
+    noise = np.random.default_rng(seed).normal(0.0, math.sqrt(sigma2), size=(reps, n))
+    ys = design.phi @ theta + noise
+    package_mean = float(np.mean([unbiased_noise_variance(y, design) for y in ys]))
+    package_gap = abs(package_mean / stats.sigma2_unbiased_mean - 1.0)
+    package_ok = package_gap <= 1e-12
+    # the flat posterior covariance sigma2 (Phi^T Phi)^{-1} against the sample
+    # covariance of the refitted coefficients, entry by entry, in standard errors
+    cov = flat_posterior_coefficients(design.phi @ theta, design, sigma2).cov
+    var = np.diag(cov)
+    se_cov = np.sqrt((np.outer(var, var) + cov**2) / (reps - 1))
+    cov_gap = float(np.max(np.abs(stats.theta_cov - cov) / se_cov))
+    cov_ok = cov_gap <= 4.0
     elapsed = time.perf_counter() - start
-    ok = unb_ok and ml_ok and elapsed < 60.0
+    ok = unb_ok and ml_ok and package_ok and cov_ok and elapsed < 60.0
     report(
         "noise-variance estimator bias across resamples",
         ok,
         elapsed,
-        f"unbiased {stats.sigma2_unbiased_mean:.4f}, ml {stats.sigma2_ml_mean:.4f}",
+        f"unbiased {stats.sigma2_unbiased_mean:.4f}, ml {stats.sigma2_ml_mean:.4f}, "
+        f"package gap {package_gap:.1e}, "
+        f"cov gap {cov_gap:.2f} se",
     )
     assert unb_ok
     assert ml_ok
+    assert package_ok
+    assert cov_ok
     assert elapsed < 60.0
 
 

@@ -1,6 +1,8 @@
 """Grid posterior over hyperparameters and two-step joint sampling."""
+import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -178,20 +180,28 @@ class TestBuildHyperPosterior:
             fixed = build_hyper_posterior(ds, family, alphas[:, None], fixed=FIXED_RBF)
         np.testing.assert_array_equal(named.log_weights, fixed.log_weights)
 
-    def test_sigma_innermost_builds_each_design_once(self, design_builds, monkeypatch):
+    @pytest.mark.parametrize("sigma_outermost", [False, True], ids=["sigma-inner", "sigma-outer"])
+    def test_each_design_built_once(self, design_builds, monkeypatch, sigma_outermost):
         ds, family = rbf_dataset()
         alphas = np.linspace(0.0, 2.0, 5)
-        points = alpha_sigma_grid(alphas, [0.03, 0.045, 0.06, 0.08])
-        grid = build_hyper_posterior(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
-        assert len(design_builds) == 5
+        sigmas = [0.03, 0.045, 0.06, 0.08]
+        if sigma_outermost:
+            names = ["sigma_e2", "alpha0"]
+            points = np.array(list(itertools.product(sigmas, alphas)))
+        else:
+            names = ALPHA_SIGMA
+            points = alpha_sigma_grid(alphas, sigmas)
+        grid = build_hyper_posterior(ds, family, points, fixed=FIXED_RBF, names=names)
         np.testing.assert_array_equal(np.concatenate(design_builds), alphas)
         design_builds.clear()
         averaged_model_loglik(grid, ds, family, [2.0])
-        assert 1 <= len(design_builds) <= 5
+        with_mass = np.unique(points[grid.probs > 0.0, names.index("alpha0")])
+        assert with_mass.size >= 1
+        np.testing.assert_array_equal(np.concatenate(design_builds), with_mass)
         design_builds.clear()
         # the profile's grid stage ends where its polish starts
         polish_from = calls_before_polish(monkeypatch, design_builds)
-        profile_likelihood(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
+        profile_likelihood(ds, family, points, fixed=FIXED_RBF, names=names)
         assert polish_from == [5]
         np.testing.assert_array_equal(np.concatenate(design_builds[:5]), alphas)
 
@@ -296,13 +306,18 @@ class TestBuildHyperPosterior:
             np.testing.assert_array_equal(belief.mean, want.mean)
             np.testing.assert_array_equal(belief.cov, want.cov)
 
-    def test_sigma_innermost_fits_each_admissible_design_once(self, monkeypatch):
+    @pytest.mark.parametrize("sigma_outermost", [False, True], ids=["sigma-inner", "sigma-outer"])
+    def test_each_admissible_design_fitted_once(self, monkeypatch, sigma_outermost):
         ds, _ = rbf_dataset()
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
         fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.09)
-        axis = [0.0, 1.0, 2.0]
-        names = ["alpha0", "alpha1", "sigma_e2"]
-        points = np.array(list(itertools.product(axis, axis, [0.05, 0.09, 0.2, 0.4])))
+        axis, sigmas = [0.0, 1.0, 2.0], [0.05, 0.09, 0.2, 0.4]
+        if sigma_outermost:
+            names = ["sigma_e2", "alpha0", "alpha1"]
+            points = np.array(list(itertools.product(sigmas, axis, axis)))
+        else:
+            names = ["alpha0", "alpha1", "sigma_e2"]
+            points = np.array(list(itertools.product(axis, axis, sigmas)))
         original = linevidence.improper_prior._flat_fit
         fitted = []
 
@@ -456,6 +471,26 @@ class TestAveragedModelLoglik:
         coincident = Dataset(inputs=[[0.0], [0.0], [0.0]], outputs=[0.0, 1.0, 0.0])
         with pytest.raises(RankDeficient):
             averaged_model_loglik(grid, coincident, family, [1.0, 1.0])
+
+    @pytest.mark.parametrize("sigma_e2", [0.0, -0.055])
+    def test_infeasible_point_with_mass_raises(self, sigma_e2):
+        # a hand-built grid can carry mass where its sweep finds no point;
+        # the same point without mass is skipped like any other
+        ds, family = rbf_dataset()
+        points = alpha_sigma_grid([0.6, 1.0, 1.4], [0.04, 0.055, 0.07])
+        grid = build_hyper_posterior(ds, family, points, fixed=FIXED_RBF, names=ALPHA_SIGMA)
+        i = int(np.argmax(grid.probs))
+        points[i, 1] = sigma_e2
+        broken = dataclasses.replace(grid, points=points)
+        point = re.escape(str(points[i].tolist()))
+        with pytest.raises(ValueError, match=f"grid point {point} carries mass but is infeasible"):
+            averaged_model_loglik(broken, ds, family, [2.1])
+        probs = grid.probs.copy()
+        probs[i] = 0.0
+        skipped = averaged_model_loglik(
+            dataclasses.replace(broken, probs=probs), ds, family, [2.1]
+        )
+        assert math.isfinite(skipped)
 
     def test_wrong_length_theta_raises(self):
         ds, family = rbf_dataset()
