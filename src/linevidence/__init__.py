@@ -33,7 +33,6 @@ from .model import (
     feature_vector,
     log_likelihood,
     ml_estimate,
-    residual_dof,
 )
 from .improper_prior import (
     EvidenceReport,
@@ -57,7 +56,6 @@ from .selection import (
     ProfileResult,
     bma_weights,
     empirical_bayes_optimize,
-    evaluate_objective,
     log_bayes_factor,
     profile_likelihood,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "build_hyper_posterior",
     "diffuse_limit_decomposition",
     "empirical_bayes_optimize",
-    "evaluate_objective",
     "feature_vector",
     "flat_posterior_coefficients",
     "isotropic_prior",
@@ -128,7 +125,6 @@ __all__ = [
     "profile_likelihood",
     "quadrature_log_area",
     "resampling_estimator_stats",
-    "residual_dof",
     "sample_posterior",
     "smooth",
     "unbiased_noise_variance",

@@ -20,14 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConsistencyError, DegenerateFitWarning
+from .exceptions import ConsistencyError, DegenerateDof, DegenerateFitWarning
 from .model import (
     DesignMatrix,
     GaussianBelief,
     _check_noise_var,
     _check_outputs,
     _residual_sum_of_squares,
-    residual_dof,
 )
 
 _REPORT_RTOL = 1e-10
@@ -193,7 +192,9 @@ def unbiased_noise_variance(y, design: DesignMatrix) -> float:
     returns the boundary value with a :class:`DegenerateFitWarning`.
     """
     y = _check_outputs(y, design)
-    dof = residual_dof(design)
+    dof = design.n - design.m
+    if dof <= 0:
+        raise DegenerateDof("operation requires N > M residual degrees of freedom")
     _, rss = _residual_sum_of_squares(y, design)
     if _zero_residual(y, rss):
         warnings.warn(

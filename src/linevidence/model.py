@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
-from .exceptions import DegenerateDof, DimensionMismatch, LinEvidenceError, RankDeficient
+from .exceptions import DimensionMismatch, LinEvidenceError, RankDeficient
 
 # Relative pivot threshold: a Cholesky pivot below RANK_RTOL times the largest
 # diagonal entry means the matrix is numerically singular (for a Gram matrix,
@@ -69,10 +69,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.outputs.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.inputs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -493,14 +489,6 @@ def _residual_sum_of_squares(y: np.ndarray, design: DesignMatrix) -> tuple[np.nd
     resid = y - design.phi @ theta_hat
     # direct sum of squares: nonnegative by construction, no cancellation
     return theta_hat, float(resid @ resid)
-
-
-def residual_dof(design: DesignMatrix) -> int:
-    """N - M, raising DegenerateDof when it is zero."""
-    dof = design.n - design.m
-    if dof <= 0:
-        raise DegenerateDof("operation requires N > M residual degrees of freedom")
-    return dof
 
 
 def _check_outputs(y, design: DesignMatrix) -> np.ndarray:

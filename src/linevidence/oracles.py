@@ -29,8 +29,9 @@ class QuadratureSpec:
     nodes_per_dim: int = 801
 
     def __post_init__(self):
-        if self.nodes_per_dim < 3 or self.nodes_per_dim % 2 == 0:
-            raise ValueError("nodes_per_dim must be odd and at least 3")
+        n = self.nodes_per_dim
+        if not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0:
+            raise ValueError("nodes_per_dim must be an odd integer of at least 3")
 
 
 def _loglik_batch(thetas: np.ndarray, y: np.ndarray, phi: np.ndarray, sigma_e2: float) -> np.ndarray:

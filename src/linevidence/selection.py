@@ -19,21 +19,18 @@ import scipy.special
 from . import improper_prior, model
 from .exceptions import (
     AllDegenerate,
-    DegenerateDof,
     DimensionMismatch,
     EmptyFeasibleGrid,
     MixedKinds,
     RankDeficient,
-    SingularPrior,
 )
 from .model import BasisFamily, Dataset, HyperParams, build_design_matrix
 
 SCORE_KINDS = ("proper", "fake")
-OBJECTIVES = ("log_area",)
 
 # Failures that mark one sweep point as degenerate.  Anything else, such as a
 # ValueError from malformed caller input, propagates out of the sweep.
-_DEGENERATE = (RankDeficient, SingularPrior, DegenerateDof)
+_DEGENERATE = (RankDeficient,)
 
 # Designs per stacked block of the search's grid stage.  A block's bases,
 # (block, N, M), are held at once, so the search's peak memory grows with it,
@@ -94,8 +91,9 @@ class OptimizerConfig:
 
     ``bounds`` maps free-parameter names to finite (lo, hi) boxes; recognized
     names are ``alpha0 .. alpha{k}`` and ``sigma_e2``.
-    ``ordering`` lists (low, high) name pairs that must satisfy low < high,
-    e.g. ``(("alpha0", "alpha1"),)`` to keep centers sorted.  ``tolerance``
+    ``ordering`` lists (low, high) pairs of two different names that must
+    satisfy low < high, e.g. ``(("alpha0", "alpha1"),)`` to keep centers
+    sorted.  ``tolerance``
     is the refine's absolute tolerance on the parameters and on the log
     score alike, so it must lie above the score's rounding floor (see
     :func:`empirical_bayes_optimize`); ``max_evals`` caps the refine's
@@ -124,6 +122,8 @@ class OptimizerConfig:
         for lo_name, hi_name in self.ordering:
             if lo_name not in self.bounds or hi_name not in self.bounds:
                 raise ValueError("ordering names must appear in bounds")
+            if _slot(lo_name) == _slot(hi_name):
+                raise ValueError(f"ordering pair {(lo_name, hi_name)} names one slot twice")
 
 
 def _slot(name: str) -> int:
@@ -263,40 +263,17 @@ def _score_points(
     return kept, scored
 
 
-def _check_objective(objective: str) -> None:
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
-
-
-def evaluate_objective(
-    dataset: Dataset, family: BasisFamily, params: HyperParams, objective: str
-) -> float:
-    """log S, the flat-prior likelihood area, at one setting; -inf if degenerate.
-
-    ``objective`` must be ``"log_area"``; any other value raises ``ValueError``
-    before the design is built.  A degenerate design (rank-deficient,
-    overflowing, or with no residual degrees of freedom) scores -inf.
-    """
-    _check_objective(objective)
-    try:
-        design = build_design_matrix(dataset, family, params.alpha)
-        return improper_prior.log_area_under_likelihood(
-            dataset.outputs, design, params.sigma_e2
-        ).log_value
-    except _DEGENERATE:
-        return -math.inf
-
-
 def _grid_log_area(
     dataset: Dataset, family: BasisFamily, alphas: np.ndarray, sigma_e2: np.ndarray
 ):
     """log S at each row of ``alphas`` with its ``sigma_e2``, -inf where degenerate.
 
     Scored in stacked blocks of ``_GRID_BLOCK`` designs by
-    ``model._fit_stack``; each value is bitwise equal to
-    :func:`evaluate_objective` at that point.  Returns the values and the
-    degenerate points counted by the message of the ``RankDeficient`` that
-    ``build_design_matrix`` raises there.
+    ``model._fit_stack``; each value is bitwise the ``log_value`` of
+    :func:`improper_prior.log_area_under_likelihood` of that point's design
+    alone.  Returns the values and the degenerate points counted by the
+    message of the ``RankDeficient`` that ``build_design_matrix`` raises
+    there.
     """
     values = np.full(len(alphas), -math.inf)
     reasons = collections.Counter()
@@ -371,24 +348,26 @@ def empirical_bayes_optimize(
 ) -> tuple[HyperParams, float, list[tuple[dict, float]]]:
     """Maximize log S over the free hyperparameters of one family by grid then refine.
 
-    ``objective`` must be ``"log_area"`` (see :func:`evaluate_objective`).  The
-    coarse stage scores a lexicographically ordered tensor grid over the
-    bound boxes, skipping infeasible points (ordering violations, nonpositive
-    variances); ties keep the lexicographically smallest point.  It scores
-    the feasible points in stacked blocks of designs, each value bitwise
-    equal to :func:`evaluate_objective` at that point.  Unless every
-    grid point is degenerate, a Nelder-Mead refine then starts from the best
-    grid point within the same bounds, and its result is kept only when it
-    scores higher.  The refine scores each point by one
-    :func:`evaluate_objective` call.  It stops once its simplex spans at most
-    ``config.tolerance`` in every parameter and in the log score, or after
-    ``config.max_evals`` evaluations.  ``config.tolerance`` must therefore
-    lie above the rounding floor of the score: log S is resolved only to
-    ~5e-8 to 2e-7 absolute on the two-center study, whose data reach ~4e7,
-    and a simplex asked to agree more closely than that shrinks onto
-    rounding noise until the cap.  Every evaluated point is recorded in the
-    returned trace, grid points in grid order and then refine points, so
-    reruns are byte-for-byte reproducible.
+    ``objective`` must be ``"log_area"``; any other value raises
+    ``ValueError`` before the sweep is compiled.  The coarse stage scores a
+    lexicographically ordered tensor grid over the bound boxes, skipping
+    infeasible points (ordering violations, nonpositive variances); ties keep
+    the lexicographically smallest point.  It scores the feasible points in
+    stacked blocks of designs.  Unless every grid point is degenerate, a
+    Nelder-Mead refine then starts from the best grid point within the same
+    bounds, and its result is kept only when it scores higher.  The refine
+    builds and fits one design per point.  Every value, grid or refine, is
+    bitwise the ``log_value`` of
+    :func:`improper_prior.log_area_under_likelihood` of the point's design,
+    or -inf where :func:`build_design_matrix` raises ``RankDeficient``.  The
+    refine stops once its simplex spans at most ``config.tolerance`` in every
+    parameter and in the log score, or after ``config.max_evals``
+    evaluations.  ``config.tolerance`` must therefore lie above the rounding
+    floor of the score: log S is resolved only to ~5e-8 to 2e-7 absolute on
+    the two-center study, whose data reach ~4e7, and a simplex asked to agree
+    more closely than that shrinks onto rounding noise until the cap.  Every
+    evaluated point is recorded in the returned trace, grid points in grid
+    order and then refine points, so reruns are byte-for-byte reproducible.
 
     A ``record`` dict, when given, is filled with the run's counts and
     times: ``grid_evals`` (feasible grid points scored), ``grid_degenerate``
@@ -401,7 +380,8 @@ def empirical_bayes_optimize(
 
     Returns ``(best_params, best_value, trace)``.
     """
-    _check_objective(objective)
+    if objective != "log_area":
+        raise ValueError("objective must be 'log_area'")
     sweep = _Sweep(config.bounds, fixed, family, config.ordering)
     started = time.perf_counter()
     axes = [np.linspace(lo, hi, config.grid_points) for lo, hi in config.bounds.values()]
@@ -423,7 +403,8 @@ def empirical_bayes_optimize(
         point = sweep.at(vec)
         if point is None:
             return None
-        value = evaluate_objective(dataset, family, HyperParams(*point), objective)
+        fit = _fit_design(dataset, family, point[0], improper_prior._flat_fit)
+        value = -math.inf if fit is None else improper_prior._area_report(fit, point[1]).log_value
         trace.append((named(vec), value))
         return value
 

@@ -23,7 +23,7 @@ from linevidence import (
     log_likelihood,
     ml_estimate,
     resampling_estimator_stats,
-    residual_dof,
+    unbiased_noise_variance,
 )
 from linevidence import improper_prior, model
 from linevidence.model import RANK_RTOL, _checked_cholesky, _cho_solve, _tri_inverse
@@ -40,7 +40,6 @@ class TestDataset:
         ds = Dataset(inputs=[1.0, 2.0, 3.0], outputs=[0.0, 0.0, 0.0])
         assert ds.inputs.shape == (3, 1)
         assert ds.n == 3
-        assert ds.input_dim == 1
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -542,13 +541,20 @@ class TestSamplingDistribution:
 
 
 class TestResidualDof:
+    """The unbiased noise variance divides the residual by N - M."""
+
     def test_square_design_degenerate(self):
         ds = Dataset(inputs=[[0.0], [1.0]], outputs=[0.0, 1.0])
         design = build_design_matrix(ds, BasisFamily("polynomial", 2), [])
-        with pytest.raises(DegenerateDof):
-            residual_dof(design)
+        with pytest.raises(DegenerateDof, match="requires N > M residual degrees of freedom"):
+            unbiased_noise_variance(ds.outputs, design)
 
     def test_counts_dof(self):
-        ds = Dataset(inputs=np.linspace(0, 1, 7)[:, None], outputs=np.zeros(7))
+        x = np.linspace(0, 1, 7)
+        ds = Dataset(inputs=x[:, None], outputs=np.cos(5.0 * x))
         design = build_design_matrix(ds, BasisFamily("polynomial", 2), [])
-        assert residual_dof(design) == 5
+        # ml_estimate divides the same residual by N = 7
+        _, sigma2_ml = ml_estimate(ds.outputs, design)
+        assert unbiased_noise_variance(ds.outputs, design) == pytest.approx(
+            sigma2_ml * 7 / 5, rel=1e-14
+        )

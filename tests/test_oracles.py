@@ -41,6 +41,15 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_dim=nodes)
 
+    @pytest.mark.parametrize("nodes", [3.0, 801.0, np.float64(5.0)])
+    def test_rejects_non_integer_node_counts(self, nodes):
+        # a float count would reach np.linspace and fail there with a TypeError
+        with pytest.raises(ValueError, match="odd integer"):
+            QuadratureSpec(nodes_per_dim=nodes)
+
+    def test_accepts_numpy_integer_node_counts(self):
+        assert QuadratureSpec(nodes_per_dim=np.int64(5)).nodes_per_dim == 5
+
 
 class TestQuadratureArea:
     def test_normalized_gaussian_has_zero_log_area(self):

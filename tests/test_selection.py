@@ -22,7 +22,6 @@ from linevidence import (
     build_design_matrix,
     build_hyper_posterior,
     empirical_bayes_optimize,
-    evaluate_objective,
     isotropic_prior,
     log_area_under_likelihood,
     log_bayes_factor,
@@ -161,6 +160,14 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
 
+    @pytest.mark.parametrize("pair", [("alpha0", "alpha0"), ("alpha1", "alpha01")])
+    def test_ordering_pair_naming_one_slot_rejected(self, pair):
+        # such a pair can never hold, so a search would build its grid and
+        # then raise EmptyFeasibleGrid
+        bounds = {name: (0.0, 1.0) for name in pair}
+        with pytest.raises(ValueError, match="names one slot twice"):
+            OptimizerConfig(bounds=bounds, ordering=(pair,))
+
 
 def _optimize(dataset, family, names, fixed):
     config = OptimizerConfig(bounds={name: (0.5, 1.5) for name in names}, grid_points=2)
@@ -292,22 +299,54 @@ class TestSweepMerge:
         assert merged.tobytes() == np.array(points).reshape(-1, 3).tobytes()
 
 
+def _params_at(point, fixed):
+    """The HyperParams of a trace point: its free names over the fixed values."""
+    alpha = fixed.alpha.copy()
+    for name, value in point.items():
+        if name != "sigma_e2":
+            alpha[int(name[5:])] = value
+    return HyperParams(alpha=alpha, sigma_e2=point.get("sigma_e2", fixed.sigma_e2))
+
+
+def _log_area_at(dataset, family, point, fixed):
+    """log S of a trace point's design, -inf where build_design_matrix raises RankDeficient."""
+    params = _params_at(point, fixed)
+    try:
+        design = build_design_matrix(dataset, family, params.alpha)
+    except RankDeficient:
+        return -math.inf
+    return log_area_under_likelihood(dataset.outputs, design, params.sigma_e2).log_value
+
+
+_X400 = np.linspace(0.0, 400.0, 50)
+_X800 = np.linspace(0.0, 800.0, 50)
+_EXP2 = BasisFamily("exponential-abs", 2)
+_RBF2 = BasisFamily("gaussian-rbf", 2, width=1.0)
+
+
 class TestEvaluateObjective:
+    """How the search scores a point: log S of its design, -inf where the
+    design is degenerate."""
+
     def test_degenerate_design_scores_minus_inf(self):
+        # equal centers give two equal basis columns
         ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 0.0])
-        family = BasisFamily("gaussian-rbf", 2, width=1.0)
-        params = HyperParams(alpha=[0.7, 0.7], sigma_e2=1.0)
-        assert evaluate_objective(ds, family, params, "log_area") == -math.inf
+        config = OptimizerConfig(
+            bounds={"alpha0": (0.7, 1.7), "alpha1": (0.7, 1.7)}, grid_points=2, max_evals=20
+        )
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=1.0)
+        _, _, trace = empirical_bayes_optimize(ds, _RBF2, "log_area", config, fixed=fixed)
+        grid = {tuple(p.values()): v for p, v in trace[:4]}
+        assert grid[(0.7, 0.7)] == grid[(1.7, 1.7)] == -math.inf
+        assert math.isfinite(grid[(0.7, 1.7)])
 
     def test_overflowing_gram_flagged_in_a_sweep(self):
         # exp(|x - c|) is finite on [0, 400], but phi^T phi overflows once a
         # center lies within 45 of an end; such points are degenerate, and the
         # sweep goes on to the finite ones
-        x = np.linspace(0.0, 400.0, 50)
-        ds = Dataset(inputs=x, outputs=np.cos(x / 40.0))
-        family = BasisFamily("exponential-abs", 2)
-        params = HyperParams(alpha=[0.0, 1.0], sigma_e2=1.0)
-        assert evaluate_objective(ds, family, params, "log_area") == -math.inf
+        ds = Dataset(inputs=_X400, outputs=np.cos(_X400 / 40.0))
+        with pytest.raises(RankDeficient):
+            build_design_matrix(ds, _EXP2, [0.0, 1.0])
         config = OptimizerConfig(
             bounds={"alpha0": (0.0, 400.0), "alpha1": (0.0, 400.0)},
             grid_points=5,
@@ -315,7 +354,7 @@ class TestEvaluateObjective:
             max_evals=20,
         )
         fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.01)
-        _, value, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
+        _, value, trace = empirical_bayes_optimize(ds, _EXP2, "log_area", config, fixed=fixed)
         grid = {tuple(p.values()): v for p, v in trace[:10]}
         assert grid[(0.0, 100.0)] == -math.inf
         assert math.isfinite(grid[(100.0, 300.0)])
@@ -324,42 +363,54 @@ class TestEvaluateObjective:
     def test_overflowing_basis_scores_minus_inf(self):
         # exp(|x - c|) overflows to inf 800 from the center at 0; the point is
         # degenerate, and the overflow is no RuntimeWarning (which the suite
-        # turns into an error)
-        x = np.linspace(0.0, 800.0, 50)
-        ds = Dataset(inputs=x, outputs=np.cos(x / 40.0))
-        family = BasisFamily("exponential-abs", 2)
-        params = HyperParams(alpha=[0.0, 400.0], sigma_e2=1.0)
-        assert evaluate_objective(ds, family, params, "log_area") == -math.inf
+        # turns into an error).  On [0, 800] every design overflows, at least
+        # in its Gram matrix, so the search ends at -inf without raising
+        ds = Dataset(inputs=_X800, outputs=np.cos(_X800 / 40.0))
+        with pytest.raises(RankDeficient, match="non-finite"):
+            build_design_matrix(ds, _EXP2, [0.0, 400.0])
+        config = OptimizerConfig(bounds={"alpha0": (0.0, 400.0)}, grid_points=3)
+        fixed = HyperParams(alpha=[0.0, 400.0], sigma_e2=1.0)
+        _, value, trace = empirical_bayes_optimize(ds, _EXP2, "log_area", config, fixed=fixed)
+        assert trace[0] == ({"alpha0": 0.0}, -math.inf)
+        assert value == -math.inf
 
     @pytest.mark.parametrize("objective", ["evidence", "log_marginal"])
     def test_unknown_objective_not_hidden_by_degenerate_design(self, objective):
-        # log S is the only objective; the check comes before the design,
-        # so a degenerate one cannot turn the caller error into -inf
+        # log S is the only objective; the check comes before any design, so
+        # a degenerate one cannot turn the caller error into -inf
         ds = Dataset(inputs=[[0.0], [1.0], [2.0]], outputs=[0.0, 1.0, 2.0])
-        family = BasisFamily("gaussian-rbf", 2, width=1.0)
-        params = HyperParams(alpha=[0.3, 0.3], sigma_e2=1.0)
-        with pytest.raises(ValueError, match="objective must be one of"):
-            evaluate_objective(ds, family, params, objective)
+        config = OptimizerConfig(bounds={"sigma_e2": (0.5, 2.0)}, grid_points=3)
+        fixed = HyperParams(alpha=[0.3, 0.3], sigma_e2=1.0)
+        _, value, _ = empirical_bayes_optimize(ds, _RBF2, "log_area", config, fixed=fixed)
+        assert value == -math.inf
+        with pytest.raises(ValueError, match="objective must be 'log_area'"):
+            empirical_bayes_optimize(ds, _RBF2, objective, config, fixed=fixed)
 
     def test_area_objective_value(self):
+        # on an example2 replicate, every value the search reports, grid and
+        # refine, is log S of that point's design, bitwise
         rng = np.random.default_rng(np.random.SeedSequence([20250811, 0]))
         y = cli._example2_truth() + rng.normal(0.0, math.sqrt(cli._EX2_SIGMA2), cli._EX2_N)
         ds = Dataset(inputs=cli._EX2_X[:, None], outputs=y)
-        params = HyperParams(alpha=cli._EX2_ALPHA, sigma_e2=cli._EX2_SIGMA2)
-        design = build_design_matrix(ds, cli._EX2_FAMILY, cli._EX2_ALPHA)
-        want = log_area_under_likelihood(y, design, cli._EX2_SIGMA2).log_value
-        got = evaluate_objective(ds, cli._EX2_FAMILY, params, "log_area")
-        assert math.isfinite(got)
-        assert got == want
-
-
-def _params_at(point, fixed):
-    """The HyperParams of a trace point: its free names over the fixed values."""
-    alpha = fixed.alpha.copy()
-    for name, value in point.items():
-        if name != "sigma_e2":
-            alpha[int(name[5:])] = value
-    return HyperParams(alpha=alpha, sigma_e2=point.get("sigma_e2", fixed.sigma_e2))
+        lo, hi = cli._EX2_ALPHA
+        config = OptimizerConfig(
+            bounds={"alpha0": (lo - 0.5, lo + 0.5), "alpha1": (hi - 0.5, hi + 0.5)},
+            grid_points=3,
+            ordering=(("alpha0", "alpha1"),),
+            max_evals=30,
+        )
+        fixed = HyperParams(alpha=cli._EX2_ALPHA, sigma_e2=cli._EX2_SIGMA2)
+        record = {}
+        best, value, trace = empirical_bayes_optimize(
+            ds, cli._EX2_FAMILY, "log_area", config, fixed=fixed, record=record
+        )
+        assert len(trace) > record["grid_evals"] == 9
+        for point, got in trace:
+            assert math.isfinite(got)
+            assert got == _log_area_at(ds, cli._EX2_FAMILY, point, fixed)
+        assert value == max(v for _, v in trace)
+        design = build_design_matrix(ds, cli._EX2_FAMILY, best.alpha)
+        assert value == log_area_under_likelihood(y, design, best.sigma_e2).log_value
 
 
 def _grid_case(dataset, family, bounds, grid_points, fixed, ordering=()):
@@ -370,18 +421,15 @@ def _grid_case(dataset, family, bounds, grid_points, fixed, ordering=()):
 
 
 _X12 = np.linspace(-1.0, 1.0, 12)
-_X400 = np.linspace(0.0, 400.0, 50)
-_X800 = np.linspace(0.0, 800.0, 50)
-_EXP2 = BasisFamily("exponential-abs", 2)
-_RBF2 = BasisFamily("gaussian-rbf", 2, width=1.0)
 _CENTERS_FIXED = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
 _VARIANCE_FIXED = HyperParams(alpha=[], sigma_e2=1.0)
 
 
 class TestStackedGrid:
     """The grid stage scores its points in stacked blocks; every grid value
-    must equal evaluate_objective at that point, -inf included.  The rbf grid
-    has 81 points, 9 of them degenerate, so it spans three blocks."""
+    must equal log S of that point's design alone, bitwise, or -inf where
+    build_design_matrix raises RankDeficient.  The rbf grid has 81 points, 9
+    of them degenerate, so it spans three blocks."""
 
     @pytest.mark.parametrize(
         "case",
@@ -453,7 +501,7 @@ class TestStackedGrid:
         values = [value for _, value in grid]
         assert record["grid_degenerate"] == values.count(-math.inf)
         for point, value in grid:
-            assert value == evaluate_objective(dataset, family, _params_at(point, fixed), "log_area")
+            assert value == _log_area_at(dataset, family, point, fixed)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_rss_escapes_the_search(self):
@@ -646,8 +694,9 @@ class TestEmpiricalBayesOptimize:
             ("log_area", EmptyFeasibleGrid),
         ],
     )
-    def test_objective_checked_before_the_grid(self, objective, error):
-        # the ordering excludes every grid point, so no point is ever scored
+    def test_objective_checked_before_the_grid(self, monkeypatch, objective, error):
+        # the ordering excludes every grid point, so no point is ever scored;
+        # an unknown objective raises before the sweep is even compiled
         ds = Dataset(inputs=[[-1.0], [0.0], [1.0]], outputs=[1.0, 0.0, 1.0])
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
         config = OptimizerConfig(
@@ -656,48 +705,60 @@ class TestEmpiricalBayesOptimize:
             ordering=(("alpha0", "alpha1"),),
         )
         fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
+        compiled, sweep = [], selection._Sweep
+
+        def counted_sweep(*args):
+            compiled.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(selection, "_Sweep", counted_sweep)
         with pytest.raises(error):
             empirical_bayes_optimize(ds, family, objective, config, fixed=fixed)
+        assert len(compiled) == (objective == "log_area")
 
     def test_grid_stacked_and_refine_scored_once_per_point(self, monkeypatch):
-        # the grid is scored in stacked blocks, with no HyperParams per point,
-        # and each value equals evaluate_objective there; each refine point is
-        # scored by one evaluate_objective call on a checked HyperParams
-        ds = Dataset(inputs=[[-1.0], [0.0], [1.0], [2.0]], outputs=[1.0, 0.0, 1.0, 0.5])
-        family = BasisFamily("gaussian-rbf", 2, width=1.0)
-        # unordered, so the 5 equal-center points of the 5 x 5 grid are degenerate
+        # the grid is scored in stacked blocks, with no one-design build; each
+        # refine point builds one design, and only the result is a checked
+        # HyperParams.  Every value, grid and refine, is log S of the point's
+        # design, or -inf where build_design_matrix raises RankDeficient
+        ds = Dataset(inputs=_X400, outputs=np.cos(_X400 / 40.0))
         config = OptimizerConfig(
-            bounds={"alpha0": (-1.0, 2.0), "alpha1": (-1.0, 2.0)}, grid_points=5, max_evals=50
+            bounds={"alpha0": (0.0, 400.0), "alpha1": (0.0, 400.0)},
+            grid_points=5,
+            ordering=(("alpha0", "alpha1"),),
+            max_evals=20,
         )
-        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
-        scored, built = [], []
-        evaluate, post_init = selection.evaluate_objective, HyperParams.__post_init__
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.01)
+        designs, built = [], []
+        build, post_init = selection.build_design_matrix, HyperParams.__post_init__
 
-        def counted_evaluate(dataset, family, params, objective):
-            scored.append(params)
-            return evaluate(dataset, family, params, objective)
+        def counted_build(dataset, family, alpha):
+            designs.append(tuple(alpha))
+            return build(dataset, family, alpha)
 
         def counted_post_init(self):
             built.append(self)
             post_init(self)
 
+        record = {}
         with monkeypatch.context() as patch:
-            patch.setattr(selection, "evaluate_objective", counted_evaluate)
+            patch.setattr(selection, "build_design_matrix", counted_build)
             patch.setattr(HyperParams, "__post_init__", counted_post_init)
-            best, _, trace = empirical_bayes_optimize(ds, family, "log_area", config, fixed=fixed)
-        grid, refine = trace[:25], trace[25:]
-        assert len(refine) > 0
-        assert sum(value == -math.inf for _, value in grid) == 5
-        for point, value in grid:
-            params = HyperParams(alpha=[point["alpha0"], point["alpha1"]], sigma_e2=0.5)
-            assert value == evaluate_objective(ds, family, params, "log_area")
-        # one evaluate_objective call per refine point, in trace order
-        assert [tuple(p.alpha) for p in scored] == [
-            (p["alpha0"], p["alpha1"]) for p, _ in refine
-        ]
-        # one HyperParams per refine point, and one for the result
-        assert len(built) == len(refine) + 1
-        assert [id(p) for p in built] == [id(p) for p in scored + [best]]
+            best, _, trace = empirical_bayes_optimize(
+                ds, _EXP2, "log_area", config, fixed=fixed, record=record
+            )
+        grid, refine = trace[: record["grid_evals"]], trace[record["grid_evals"] :]
+        assert len(grid) == 10 and len(refine) > 0
+        # 9 of the 10 ordered grid points are degenerate (7 overflow, 2 are
+        # numerically singular), and so are some of the points the refine tries
+        assert sum(value == -math.inf for _, value in grid) == 9
+        assert any(value == -math.inf for _, value in refine)
+        for point, value in trace:
+            assert value == _log_area_at(ds, _EXP2, point, fixed)
+        # one design built per refine point, in trace order
+        assert designs == [(p["alpha0"], p["alpha1"]) for p, _ in refine]
+        # one HyperParams per search: the result
+        assert len(built) == 1 and built[0] is best
 
     def test_exact_tie_keeps_first_grid_point(self):
         # two coincident inputs make the objective an even function of the
