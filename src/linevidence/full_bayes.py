@@ -11,7 +11,6 @@ weights.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,17 +20,18 @@ import numpy as np
 import scipy.special
 
 from . import improper_prior
-from .exceptions import AllDegenerate, NonFiniteMassWarning, SingularPrior
+from .exceptions import AllDegenerate, NonFiniteMassWarning, RankDeficient, SingularPrior
 from .model import (
     BasisFamily,
     Dataset,
     GaussianBelief,
     HyperParams,
+    _check_theta,
     _checked_cholesky,
     _log_likelihood_at,
-    _residual_energy,
+    _stacked_energy,
 )
-from .selection import _score_points, _Sweep
+from .selection import _score_points, _score_posteriors, _Sweep
 
 _BOUNDARY_MASS_LIMIT = 0.5
 
@@ -80,8 +80,8 @@ def build_hyper_posterior(
     (the fixed alpha's length, known names, no slot set twice, alphas in
     range, every parameter fixed or free); a point is checked only for its
     own values (a NaN or infinite sigma_e2 or alpha raises).  The
-    flat-prior fit depends on alpha alone, so every sweep over such a grid
-    builds and fits each distinct alpha once, in any order of the points.
+    flat-prior fit depends on alpha alone, so the sweep builds and fits
+    each distinct alpha once, in any order of the points.
     """
     sweep = _Sweep(names, fixed, family)
     points = sweep.grid(eta_points)
@@ -92,8 +92,7 @@ def build_hyper_posterior(
             improper_prior._flat_posterior(fit, sigma_e2),
         )
 
-    fit = functools.partial(improper_prior._flat_fit, posterior=True)
-    _, scored = _score_points(sweep, points, dataset, family, fit, weigh)
+    _, scored = _score_posteriors(sweep, points, dataset, family, weigh)
     failed = np.array([s is None for s in scored])
     if np.all(failed):
         raise AllDegenerate("every grid point has weight zero")
@@ -162,23 +161,24 @@ def averaged_model_loglik(
     """log of the grid-averaged likelihood sum_i p(eta_i | y) p(y | theta, eta_i).
 
     Evaluated by log-sum-exp over the points with mass, each distinct alpha
-    built once.  A point with mass raises where its design is degenerate
-    (``RankDeficient``) or it is infeasible (``ValueError``); so does a
-    ``theta`` of the wrong length.
+    fitted once.  A ``theta`` of the wrong length raises; so does a point
+    with mass where its design is degenerate (the ``RankDeficient`` that
+    ``build_design_matrix`` raises there) or it is infeasible
+    (``ValueError``).
     """
     sweep = _Sweep(grid.names, grid.fixed, family)
     mass = np.flatnonzero(grid.probs > 0.0)
     if mass.size == 0:
         raise AllDegenerate("no usable grid points")
-    kept, loglik = _score_points(
-        sweep,
-        grid.points[mass],
-        dataset,
-        family,
-        lambda y, design: _residual_energy(y, design, theta),
-        lambda energy, sigma_e2: _log_likelihood_at(dataset.n, energy, sigma_e2),
-        catch=(),
-    )
+    theta = _check_theta(theta, family.size)
+
+    def likelihood(fits, design, sigma_e2):
+        energy = _stacked_energy(dataset.outputs, fits.phi, theta)
+        return _log_likelihood_at(dataset.n, energy[design], sigma_e2)
+
+    kept, loglik, faults = _score_points(sweep, grid.points[mass], dataset, family, likelihood)
+    if faults:
+        raise RankDeficient(faults[0])
     if not np.all(kept):
         point = grid.points[mass[np.argmin(kept)]]
         raise ValueError(f"grid point {point.tolist()} carries mass but is infeasible")

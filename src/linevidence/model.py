@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
@@ -415,20 +416,30 @@ def _gram_factor(gram: np.ndarray, finite: bool) -> np.ndarray:
     return _checked_cholesky(gram, RankDeficient, _GRAM)
 
 
-def _fit_stack(y: np.ndarray, family: BasisFamily, alphas: np.ndarray, x: np.ndarray):
+class _StackFit(NamedTuple):
+    """:func:`_fit_stack`'s fits; all but the first two fields hold its admitted designs only."""
+
+    admitted: np.ndarray
+    faults: list
+    phi: np.ndarray
+    chol: np.ndarray
+    theta: np.ndarray
+    rss: np.ndarray
+    log_det_gram: np.ndarray
+
+
+def _fit_stack(y: np.ndarray, family: BasisFamily, alphas: np.ndarray, x: np.ndarray) -> _StackFit:
     """Least-squares fits of the designs of a ``(K, P)`` stack of checked alphas.
 
-    Returns ``(admitted, rss, log_det_gram, faults)``: ``admitted`` flags the
-    designs :func:`build_design_matrix` accepts, ``rss`` and
-    ``log_det_gram`` hold, for those designs in order, what
-    :func:`_residual_sum_of_squares` and ``DesignMatrix.log_det_gram`` give
-    each one built alone, bitwise, and ``faults`` lists, for every design,
-    the message of the ``RankDeficient`` that ``build_design_matrix`` raises
-    there, or None where it raises none.  The Gram matrices, ``Phi^T y``
-    and the residuals are stacked products.  Each finite design is factored
-    by one ``dpotrf`` call, and :func:`_factor_faults` judges the factors
-    at once, as :func:`_gram_factor` judges one; the admitted ones are
-    solved by :func:`_cho_solve`.  Raises ``RankDeficient`` when M > N.
+    ``admitted`` flags the designs :func:`build_design_matrix` accepts, and
+    ``faults`` lists, per design, the message of the ``RankDeficient`` it
+    raises there, or None.  For the admitted designs, ``phi``, ``chol``,
+    ``theta``, ``rss`` and ``log_det_gram`` are bitwise what each one built
+    alone gives.  The Gram matrices, ``Phi^T y`` and the residuals are
+    stacked products.  Each finite design is factored by one ``dpotrf``
+    call, and :func:`_factor_faults` judges the factors at once, as
+    :func:`_gram_factor` judges one; the admitted ones are solved by
+    :func:`_cho_solve`.  Raises ``RankDeficient`` when M > N.
     """
     phi, gram, finite = _design_stack(family, alphas, x)
     chol = np.zeros_like(gram)
@@ -445,32 +456,36 @@ def _fit_stack(y: np.ndarray, family: BasisFamily, alphas: np.ndarray, x: np.nda
     admitted = np.array([fault is None for fault in faults], dtype=bool)
     phi, chol = phi[admitted], chol[admitted]
     theta = _cho_solve(chol, phi.swapaxes(-1, -2) @ y)
+    rss = _stacked_energy(y, phi, theta)
+    return _StackFit(admitted, faults, phi, chol, theta, rss, _log_det_from_factor(chol))
+
+
+def _stacked_energy(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``||y - Phi theta||^2`` of each design of a ``(K, N, M)`` stack, at one theta or K."""
     resid = y - (phi @ theta[..., None])[..., 0]
     # direct sums of squares, as _residual_sum_of_squares takes them
-    rss = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
-    return admitted, rss, _log_det_from_factor(chol), faults
+    return (resid[..., None, :] @ resid[..., None])[..., 0, 0]
 
 
 def log_likelihood(y, design: DesignMatrix, theta, sigma_e2: float) -> float:
     """Gaussian log likelihood log p(y | theta, sigma_e2), in log domain throughout."""
-    energy = _residual_energy(y, design, theta)
-    _check_noise_var(sigma_e2)
-    return _log_likelihood_at(design.n, energy, sigma_e2)
-
-
-def _residual_energy(y, design: DesignMatrix, theta) -> float:
-    """``||y - Phi theta||^2`` after the length checks of ``y`` and ``theta``."""
     y = _check_outputs(y, design)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (design.m,):
-        raise DimensionMismatch(f"theta must have length {design.m}")
+    theta = _check_theta(theta, design.m)
     resid = y - design.phi @ theta
-    return float(resid @ resid)
+    _check_noise_var(sigma_e2)
+    return float(_log_likelihood_at(design.n, float(resid @ resid), sigma_e2))
 
 
-def _log_likelihood_at(n: int, energy: float, sigma_e2: float) -> float:
-    """:func:`log_likelihood` from its residual energy, at one checked sigma_e2."""
-    return float(-0.5 * n * np.log(2.0 * np.pi * sigma_e2) - 0.5 * energy / sigma_e2)
+def _check_theta(theta, m: int) -> np.ndarray:
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (m,):
+        raise DimensionMismatch(f"theta must have length {m}")
+    return theta
+
+
+def _log_likelihood_at(n: int, energy, sigma_e2):
+    """:func:`log_likelihood` from its residual energy, at checked sigma_e2; scalars or arrays."""
+    return -0.5 * n * np.log(2.0 * np.pi * sigma_e2) - 0.5 * energy / sigma_e2
 
 
 def ml_estimate(y, design: DesignMatrix) -> tuple[np.ndarray, float]:

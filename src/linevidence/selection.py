@@ -32,11 +32,11 @@ SCORE_KINDS = ("proper", "fake")
 # ValueError from malformed caller input, propagates out of the sweep.
 _DEGENERATE = (RankDeficient,)
 
-# Designs per stacked block of the search's grid stage.  A block's bases,
-# (block, N, M), are held at once, so the search's peak memory grows with it,
-# and a larger block adds that transient memory to the benchmark's
-# peak_rss_mb; 32 designs already amortize the per-call cost of the stacked
-# products.
+# Distinct designs per stacked block of every grid sweep (_score_points).  A
+# block's bases, (block, N, M), are held at once, so a sweep's peak memory
+# grows with it, and a larger block adds that transient memory to the
+# benchmark's peak_rss_mb; 32 designs already amortize the per-call cost of
+# the stacked products.
 _GRID_BLOCK = 32
 
 
@@ -124,6 +124,10 @@ class OptimizerConfig:
                 raise ValueError("ordering names must appear in bounds")
             if _slot(lo_name) == _slot(hi_name):
                 raise ValueError(f"ordering pair {(lo_name, hi_name)} names one slot twice")
+        slots = [_slot(name) for name in self.bounds]
+        for k, name in enumerate(self.bounds):
+            if slots[k] in slots[:k]:
+                raise ValueError(f"{name!r} sets a parameter that an earlier name already set")
 
 
 def _slot(name: str) -> int:
@@ -230,23 +234,35 @@ class _Sweep:
         return kept, merged
 
 
-def _fit_design(dataset: Dataset, family: BasisFamily, alpha, fit, catch=_DEGENERATE):
-    """``fit(dataset.outputs, design)`` of alpha's design, or None where ``catch`` is raised."""
+def _fit_design(dataset: Dataset, family: BasisFamily, alpha, posterior: bool = False):
+    """The flat fit of alpha's design built alone, or None where it is degenerate."""
     try:
-        return fit(dataset.outputs, build_design_matrix(dataset, family, alpha))
-    except catch:
+        design = build_design_matrix(dataset, family, alpha)
+    except _DEGENERATE:
         return None
+    return improper_prior._flat_fit(dataset.outputs, design, posterior)
 
 
-def _score_points(
-    sweep: _Sweep, points, dataset: Dataset, family: BasisFamily, fit, score, catch=_DEGENERATE
-):
-    """``(kept, scored)`` of a sweep's ``(P, len(names))`` points, each distinct alpha fitted once.
+def _score_point(sweep: _Sweep, dataset: Dataset, family: BasisFamily, vec, value):
+    """``value(fit, sigma_e2)`` of one point's :func:`_fit_design`.
 
-    ``kept`` flags the feasible points, by :meth:`_Sweep.merge`.  ``scored``
-    holds, per point, ``score(fit, sigma_e2)`` of the :func:`_fit_design` of
-    its alpha, or None where the point is infeasible or that is None.  Each
-    fit is dropped once its points are scored, so one is held at a time.
+    None where the point is infeasible, -inf where its design is degenerate.
+    """
+    point = sweep.at(vec)
+    if point is None:
+        return None
+    fit = _fit_design(dataset, family, point[0])
+    return -math.inf if fit is None else value(fit, point[1])
+
+
+def _score_posteriors(sweep: _Sweep, points, dataset: Dataset, family: BasisFamily, score):
+    """``(kept, scored)`` of a sweep's points, each distinct alpha's design fitted alone once.
+
+    The one-design loop of :func:`build_hyper_posterior`.  ``kept`` flags
+    the feasible points, by :meth:`_Sweep.merge`.  ``scored`` holds, per
+    point, ``score(fit, sigma_e2)`` of the :func:`_fit_design` of its alpha
+    with its posterior, or None where the point is infeasible or the design
+    degenerate.  Each fit is dropped once its points are scored.
     """
     kept, merged = sweep.merge(points)
     distinct, inverse, counts = np.unique(
@@ -256,42 +272,51 @@ def _score_points(
     groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
     scored = [None] * len(points)
     for alpha, group in zip(distinct, groups):
-        fitted = _fit_design(dataset, family, alpha, fit, catch)
+        fitted = _fit_design(dataset, family, alpha, posterior=True)
         if fitted is not None:
             for k in group.tolist():
                 scored[rows[k]] = score(fitted, sigmas[k])
     return kept, scored
 
 
-def _grid_log_area(
-    dataset: Dataset, family: BasisFamily, alphas: np.ndarray, sigma_e2: np.ndarray
-):
-    """log S at each row of ``alphas`` with its ``sigma_e2``, -inf where degenerate.
+def _score_points(sweep: _Sweep, points, dataset: Dataset, family: BasisFamily, score):
+    """``(kept, values, faults)`` of a sweep's points, each distinct alpha fitted once in a stack.
 
-    Scored in stacked blocks of ``_GRID_BLOCK`` designs by
-    ``model._fit_stack``; each value is bitwise the ``log_value`` of
-    :func:`improper_prior.log_area_under_likelihood` of that point's design
-    alone.  Returns the values and the degenerate points counted by the
-    message of the ``RankDeficient`` that ``build_design_matrix`` raises
-    there.
+    ``kept`` flags the feasible points, by :meth:`_Sweep.merge`; a
+    non-finite alpha there raises ``ValueError``.  Their distinct alphas are
+    fitted by ``model._fit_stack`` in blocks of ``_GRID_BLOCK``, one block
+    held at a time, and the points whose designs a block admits are scored
+    by one call ``score(fits, design, sigma_e2)``: ``fits`` is the block's
+    ``model._StackFit`` and ``design`` indexes each point's design among its
+    admitted ones.  ``values`` holds what it returns, and -inf at every other
+    point.  ``faults`` lists, for each point with a degenerate design in
+    order of the designs, the message of the ``RankDeficient`` that
+    :func:`build_design_matrix` raises there.
     """
-    values = np.full(len(alphas), -math.inf)
-    reasons = collections.Counter()
-    dof = dataset.n - family.size
-    for start in range(0, len(alphas), _GRID_BLOCK):
-        block = slice(start, start + _GRID_BLOCK)
+    kept, merged = sweep.merge(points)
+    if not np.isfinite(merged[:, :-1]).all():
+        raise ValueError("alpha must contain only finite values")
+    distinct, inverse = np.unique(merged[:, :-1], axis=0, return_inverse=True)
+    # the feasible points in order of their designs, and where each block's points begin
+    order = np.argsort(inverse.ravel(), kind="stable")
+    design_of, rows, sigmas = inverse.ravel()[order], np.flatnonzero(kept)[order], merged[order, -1]
+    starts = range(0, len(distinct), _GRID_BLOCK)
+    edges = np.searchsorted(design_of, [*starts, len(distinct)]).tolist()
+    values, messages = np.full(len(points), -math.inf), []  # messages: per distinct alpha
+    for start, lo, hi in zip(starts, edges, edges[1:]):
+        alphas = distinct[start : start + _GRID_BLOCK]
         try:
-            admitted, rss, log_det, faults = model._fit_stack(
-                dataset.outputs, family, alphas[block], dataset.inputs
-            )
+            fits = model._fit_stack(dataset.outputs, family, alphas, dataset.inputs)
         except _DEGENERATE as exc:
-            reasons[str(exc)] += len(alphas[block])
+            messages += [str(exc)] * len(alphas)
             continue
-        reasons.update(fault for fault in faults if fault is not None)
-        values[start + np.flatnonzero(admitted)] = improper_prior._log_area_values(
-            rss, log_det, dof, sigma_e2[block][admitted]
-        )
-    return values, reasons
+        messages += fits.faults
+        local = design_of[lo:hi] - start
+        ok = fits.admitted[local]
+        design = (np.cumsum(fits.admitted) - 1)[local[ok]]
+        values[rows[lo:hi][ok]] = score(fits, design, sigmas[lo:hi][ok])
+    messages = np.array(messages, dtype=object)[design_of]
+    return kept, values, messages[np.not_equal(messages, None)].tolist()
 
 
 # Private, like the scorers above: a traced run wraps every public function, and
@@ -371,12 +396,13 @@ def empirical_bayes_optimize(
 
     A ``record`` dict, when given, is filled with the run's counts and
     times: ``grid_evals`` (feasible grid points scored), ``grid_degenerate``
-    (those scoring -inf), ``grid_degenerate_by_reason`` (those counted by
-    the message of the ``RankDeficient`` that :func:`build_design_matrix`
-    raises there), ``grid_s`` (the grid stage's wall seconds), the refine's
-    ``refine_nfev``, ``refine_nit`` and ``refine_status`` (scipy's; 0 means
-    converged) and ``refine_s`` (its wall seconds).  Without a refine the
-    two counts are 0 and the status is None.
+    (those with a degenerate design), ``grid_degenerate_by_reason`` (those
+    counted by the message of the ``RankDeficient`` that
+    :func:`build_design_matrix` raises there), ``grid_s`` (the grid stage's
+    wall seconds), the refine's ``refine_nfev``, ``refine_nit`` and
+    ``refine_status`` (scipy's; 0 means converged) and ``refine_s`` (its
+    wall seconds).  Without a refine the two counts are 0 and the status is
+    None.
 
     Returns ``(best_params, best_value, trace)``.
     """
@@ -387,25 +413,28 @@ def empirical_bayes_optimize(
     axes = [np.linspace(lo, hi, config.grid_points) for lo, hi in config.bounds.values()]
     # the tensor grid in itertools.product order: the last name varies fastest
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    kept, merged = sweep.merge(grid)
-    vecs = grid[kept]
-    values, reasons = _grid_log_area(dataset, family, merged[:, :-1], merged[:, -1])
+    dof = dataset.n - family.size
+
+    def log_area(fits, design, sigma_e2):
+        return improper_prior._log_area_values(
+            fits.rss[design], fits.log_det_gram[design], dof, sigma_e2
+        )
+
+    kept, values, faults = _score_points(sweep, grid, dataset, family, log_area)
+    vecs, values = grid[kept], values[kept]
     trace = [
         (dict(zip(sweep.names, vec)), value)
         for vec, value in zip(vecs.tolist(), values.tolist())
     ]
     grid_s = time.perf_counter() - started
 
-    def named(vec: np.ndarray) -> dict:
-        return dict(zip(sweep.names, (float(v) for v in vec)))
+    def area(fit, sigma_e2: float) -> float:
+        return improper_prior._area_report(fit, sigma_e2).log_value
 
     def score(vec: np.ndarray) -> float | None:
-        point = sweep.at(vec)
-        if point is None:
-            return None
-        fit = _fit_design(dataset, family, point[0], improper_prior._flat_fit)
-        value = -math.inf if fit is None else improper_prior._area_report(fit, point[1]).log_value
-        trace.append((named(vec), value))
+        value = _score_point(sweep, dataset, family, vec, area)
+        if value is not None:
+            trace.append((dict(zip(sweep.names, (float(v) for v in vec))), value))
         return value
 
     started = time.perf_counter()
@@ -424,8 +453,8 @@ def empirical_bayes_optimize(
     if record is not None:
         record.update(
             grid_evals=len(vecs),
-            grid_degenerate=int(np.sum(np.isneginf(values))),
-            grid_degenerate_by_reason=dict(sorted(reasons.items())),
+            grid_degenerate=len(faults),
+            grid_degenerate_by_reason=dict(sorted(collections.Counter(faults).items())),
             grid_s=grid_s,
             refine_nfev=0 if result is None else int(result.nfev),
             refine_nit=0 if result is None else int(result.nit),
@@ -460,9 +489,9 @@ def profile_likelihood(
 
     At each point the likelihood is evaluated at the closed-form ML
     coefficients, from the residual of their least-squares fit; the grid
-    builds and fits each distinct alpha once.  Values are normalized by the
-    larger of the grid maximum and an unbounded Nelder-Mead polish started
-    from the best grid point, so the normalized profile lies in (0, 1]
+    fits each distinct alpha once, in stacked blocks.  Values are normalized
+    by the larger of the grid maximum and an unbounded Nelder-Mead polish
+    started from the best grid point, so the normalized profile lies in (0, 1]
     wherever it is defined; grid points with a nonpositive variance or a
     degenerate design are flagged in ``failed`` and get zero weight rather
     than failing the sweep.
@@ -470,20 +499,15 @@ def profile_likelihood(
     sweep = _Sweep(names, fixed, family)
     points = sweep.grid(eta_points)
 
-    def profiled(fit, sigma_e2: float) -> float:
-        return model._log_likelihood_at(dataset.n, fit.rss, sigma_e2)
+    def profiled(fits, design, sigma_e2):
+        return model._log_likelihood_at(dataset.n, fits.rss[design], sigma_e2)
 
-    def score(vec: np.ndarray) -> float | None:
-        point = sweep.at(vec)
-        if point is None:
-            return None
-        fit = _fit_design(dataset, family, point[0], improper_prior._flat_fit)
-        return None if fit is None else profiled(fit, point[1])
+    def polished(fit, sigma_e2: float) -> float:
+        return float(model._log_likelihood_at(dataset.n, fit.rss, sigma_e2))
 
-    _, scored = _score_points(sweep, points, dataset, family, improper_prior._flat_fit, profiled)
-    log_values = np.array([-math.inf if v is None else v for v in scored])
+    _, log_values, _ = _score_points(sweep, points, dataset, family, profiled)
     _, log_max, _ = _grid_then_polish(
-        score,
+        lambda vec: _score_point(sweep, dataset, family, vec, polished),
         points,
         log_values,
         None,

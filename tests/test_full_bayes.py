@@ -51,18 +51,39 @@ NONFINITE_MESSAGES = {
 
 @pytest.fixture
 def design_builds(monkeypatch):
-    """Count build_design_matrix calls through every package binding of it."""
+    """The alpha of each design built alone, through every binding of build_design_matrix."""
     original = linevidence.model.build_design_matrix
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(list(args[2]))
         return original(*args, **kwargs)
 
     for module in (linevidence.model, linevidence.selection, linevidence.full_bayes):
         if getattr(module, "build_design_matrix", None) is original:
             monkeypatch.setattr(module, "build_design_matrix", counted)
     return calls
+
+
+@pytest.fixture
+def stacked_designs(monkeypatch):
+    """``(alpha, phi)`` of each design that reaches ``model._fit_stack``, in order.
+
+    ``phi`` is the basis the stack fitted, or None where it admitted no fit.
+    """
+    original = linevidence.model._fit_stack
+    designs = []
+
+    def counted(y, family, alphas, x):
+        fits = original(y, family, alphas, x)
+        phis = iter(fits.phi)
+        designs.extend(
+            (alpha, next(phis) if ok else None) for alpha, ok in zip(alphas.tolist(), fits.admitted)
+        )
+        return fits
+
+    monkeypatch.setattr(linevidence.model, "_fit_stack", counted)
+    return designs
 
 
 def calls_before_polish(monkeypatch, calls):
@@ -181,7 +202,11 @@ class TestBuildHyperPosterior:
         np.testing.assert_array_equal(named.log_weights, fixed.log_weights)
 
     @pytest.mark.parametrize("sigma_outermost", [False, True], ids=["sigma-inner", "sigma-outer"])
-    def test_each_design_built_once(self, design_builds, monkeypatch, sigma_outermost):
+    def test_each_design_built_once(
+        self, design_builds, stacked_designs, monkeypatch, sigma_outermost
+    ):
+        # the posterior sweep builds each distinct alpha alone once; the other
+        # sweeps fit each distinct alpha once, in one stacked block
         ds, family = rbf_dataset()
         alphas = np.linspace(0.0, 2.0, 5)
         sigmas = [0.03, 0.045, 0.06, 0.08]
@@ -192,18 +217,23 @@ class TestBuildHyperPosterior:
             names = ALPHA_SIGMA
             points = alpha_sigma_grid(alphas, sigmas)
         grid = build_hyper_posterior(ds, family, points, fixed=FIXED_RBF, names=names)
-        np.testing.assert_array_equal(np.concatenate(design_builds), alphas)
+        assert design_builds == [[a] for a in alphas]
+        assert stacked_designs == []
         design_builds.clear()
         averaged_model_loglik(grid, ds, family, [2.0])
         with_mass = np.unique(points[grid.probs > 0.0, names.index("alpha0")])
         assert with_mass.size >= 1
-        np.testing.assert_array_equal(np.concatenate(design_builds), with_mass)
-        design_builds.clear()
-        # the profile's grid stage ends where its polish starts
-        polish_from = calls_before_polish(monkeypatch, design_builds)
+        assert [alpha for alpha, _ in stacked_designs] == [[a] for a in with_mass]
+        assert design_builds == []
+        stacked_designs.clear()
+        # the profile's grid stage ends where its polish starts, and the
+        # polish builds its points alone, never in a stack
+        stacked_from = calls_before_polish(monkeypatch, stacked_designs)
+        built_from = calls_before_polish(monkeypatch, design_builds)
         profile_likelihood(ds, family, points, fixed=FIXED_RBF, names=names)
-        assert polish_from == [5]
-        np.testing.assert_array_equal(np.concatenate(design_builds[:5]), alphas)
+        assert stacked_from == [5] and built_from == [0]
+        assert [alpha for alpha, _ in stacked_designs] == [[a] for a in alphas]
+        assert len(design_builds) > 0
 
     def test_sweeps_build_no_hyperparams_per_point(self, monkeypatch):
         # names, the fixed baseline and the family are checked once per sweep;
@@ -307,7 +337,9 @@ class TestBuildHyperPosterior:
             np.testing.assert_array_equal(belief.cov, want.cov)
 
     @pytest.mark.parametrize("sigma_outermost", [False, True], ids=["sigma-inner", "sigma-outer"])
-    def test_each_admissible_design_fitted_once(self, monkeypatch, sigma_outermost):
+    def test_each_admissible_design_fitted_once(
+        self, stacked_designs, monkeypatch, sigma_outermost
+    ):
         ds, _ = rbf_dataset()
         family = BasisFamily("gaussian-rbf", 2, width=1.0)
         fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.09)
@@ -326,18 +358,28 @@ class TestBuildHyperPosterior:
             return original(y, design, *args, **kwargs)
 
         monkeypatch.setattr(linevidence.improper_prior, "_flat_fit", counted)
+        # the posterior sweep fits the 6 alphas with distinct centers alone,
+        # once each, in lexicographic order whatever the grid's
         with pytest.warns(NonFiniteMassWarning):
             build_hyper_posterior(ds, family, points, fixed=fixed, names=names)
         admissible = [[a, b] for a, b in itertools.product(axis, axis) if a != b]
         assert len(fitted) == len(admissible) == 6
         for phi, alpha in zip(fitted, admissible):
             np.testing.assert_array_equal(phi, build_design_matrix(ds, family, alpha).phi)
+        assert stacked_designs == []
         fitted.clear()
+        # the profile's grid stage stacks the 9 distinct alphas once each and
+        # fits the 6 admissible ones, all before its polish fits any point
         polish_from = calls_before_polish(monkeypatch, fitted)
         profile_likelihood(ds, family, points, fixed=fixed, names=names)
-        assert polish_from == [6]
-        for phi, alpha in zip(fitted, admissible):
-            np.testing.assert_array_equal(phi, build_design_matrix(ds, family, alpha).phi)
+        assert polish_from == [0]
+        distinct = [list(alpha) for alpha in itertools.product(axis, axis)]
+        assert [alpha for alpha, _ in stacked_designs] == distinct
+        for alpha, phi in stacked_designs:
+            if alpha[0] == alpha[1]:
+                assert phi is None
+            else:
+                np.testing.assert_array_equal(phi, build_design_matrix(ds, family, alpha).phi)
 
     def test_two_center_mass_concentrates_at_truth(self):
         rng = np.random.default_rng(11)
@@ -469,7 +511,9 @@ class TestAveragedModelLoglik:
             grid = build_hyper_posterior(ds, family, [[0.0, 1.5], [0.5, 2.0]], fixed=fixed)
         assert not np.any(grid.failed)
         coincident = Dataset(inputs=[[0.0], [0.0], [0.0]], outputs=[0.0, 1.0, 0.0])
-        with pytest.raises(RankDeficient):
+        with pytest.raises(RankDeficient) as built:
+            build_design_matrix(coincident, family, [0.0, 1.5])
+        with pytest.raises(RankDeficient, match=f"^{re.escape(str(built.value))}$"):
             averaged_model_loglik(grid, coincident, family, [1.0, 1.0])
 
     @pytest.mark.parametrize("sigma_e2", [0.0, -0.055])

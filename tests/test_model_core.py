@@ -25,7 +25,7 @@ from linevidence import (
     resampling_estimator_stats,
     unbiased_noise_variance,
 )
-from linevidence import improper_prior, model
+from linevidence import model
 from linevidence.model import RANK_RTOL, _checked_cholesky, _cho_solve, _tri_inverse
 
 EPS = float(np.finfo(float).eps)
@@ -352,31 +352,37 @@ class TestStackedDesigns:
         assert stacked.tobytes() == alone.tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(design_stacks())
-    def test_fit_stack_equals_one_design_fits(self, case):
+    @given(design_stacks(), st.data())
+    def test_fit_stack_equals_one_design_fits(self, case, data):
         dataset, family, alphas = case
         y = dataset.outputs
-        faults, fits = [], []
+        m = family.size
+        theta = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m)))
+        faults, designs = [], []
         for alpha in alphas:
             try:
-                design = build_design_matrix(dataset, family, alpha)
+                designs.append(build_design_matrix(dataset, family, alpha))
             except RankDeficient as exc:
                 faults.append(str(exc))
                 continue
             faults.append(None)
-            fits.append(improper_prior._flat_fit(y, design))
         try:
-            admitted, rss, log_det_gram, stack_faults = model._fit_stack(
-                y, family, alphas, dataset.inputs
-            )
+            fits = model._fit_stack(y, family, alphas, dataset.inputs)
         except RankDeficient as exc:
             # M > N, which every design of the stack raises alike
             assert set(faults) == {str(exc)}
             return
-        assert stack_faults == faults
-        assert admitted.tolist() == [fault is None for fault in faults]
-        assert rss.tobytes() == np.array([fit.rss for fit in fits]).tobytes()
-        assert log_det_gram.tobytes() == np.array([fit.log_det_gram for fit in fits]).tobytes()
+        assert fits.faults == faults
+        assert fits.admitted.tolist() == [fault is None for fault in faults]
+        ml = [model._residual_sum_of_squares(y, design) for design in designs]
+        assert fits.theta.tobytes() == np.array([theta_hat for theta_hat, _ in ml]).tobytes()
+        assert fits.rss.tobytes() == np.array([rss for _, rss in ml]).tobytes()
+        assert fits.log_det_gram.tobytes() == np.array([d.log_det_gram for d in designs]).tobytes()
+        inverse = model._cho_solve(fits.chol, np.broadcast_to(np.eye(m), fits.chol.shape))
+        inverse = 0.5 * (inverse + inverse.swapaxes(-1, -2))
+        assert inverse.tobytes() == np.array([d.inv_gram() for d in designs]).tobytes()
+        energy = [float((y - d.phi @ theta) @ (y - d.phi @ theta)) for d in designs]
+        assert model._stacked_energy(y, fits.phi, theta).tobytes() == np.array(energy).tobytes()
 
 
 def random_triangular(rng, m, lower):

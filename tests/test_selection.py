@@ -168,6 +168,12 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="names one slot twice"):
             OptimizerConfig(bounds=bounds, ordering=(pair,))
 
+    def test_bounds_naming_one_slot_twice_rejected(self):
+        # alpha1 and alpha01 name one slot, so every search would raise from
+        # its sweep; the config rejects them at construction, as the sweep does
+        with pytest.raises(ValueError, match="^'alpha01' sets a parameter that an earlier name"):
+            OptimizerConfig(bounds={"alpha1": (0.0, 1.0), "alpha01": (0.0, 2.0)})
+
 
 def _optimize(dataset, family, names, fixed):
     config = OptimizerConfig(bounds={name: (0.5, 1.5) for name in names}, grid_points=2)
