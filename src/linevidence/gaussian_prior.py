@@ -17,23 +17,22 @@ determinant lemma (Rasmussen & Williams, GPML, App. A.3):
         = (||y~ - Phi beta||^2 + sigma_e2 beta^T Sigma_theta^{-1} beta) / sigma_e2
 
 and the posterior is N(mu_p + beta, sigma_e2 A^{-1}).  ``_ridge_fit`` computes
-all of this by two O(N M^2) routes: a thin QR of the augmented design
-``[Phi; sigma_e L^{-1}] = Q R`` (so A = R^T R without squaring the condition
-number of Phi), and the Cholesky factor of A itself.  Both are always
-computed and cross-checked with a tolerance tied to cond(A); collapsing the
-pair into one route would hide exactly the numerical failures the check
-exists to catch.  The QR values are returned.  Both routes take the
-quadratic form from the residual, never as ``y~^T y~ - b^T A^{-1} b``, which
-cancels most of its digits when y is large against the residual.
+all of this by two routes, O(N M + M^3) once the design has its cached thin
+QR (``DesignMatrix.qr``): the R factor of ``[Phi; sigma_e L^{-1}]`` (so A =
+R^T R without squaring the condition number of Phi) and the Cholesky factor
+of A.  Both are always computed and cross-checked with a tolerance tied to
+cond(A); collapsing the pair into one route would hide exactly the
+numerical failures the check exists to catch.  The QR values are returned.
+Both routes take the quadratic form from the residual, never as ``y~^T y~ -
+b^T A^{-1} b``, which cancels most of its digits when y is large against it.
 
 Both routes are made of small LAPACK calls, and OpenBLAS threads some of
 them at a cost out of all proportion to their work.  With two threads on a
 2-core Xeon, a tall ``dgeqrf`` (one QR of a 2008 x 9 matrix) took 4-10 ms
 inside a scoring call, and ``dtrtrs`` against an 8 x 8 identity took a
 median of 2-3.5 ms (up to 13 ms) right after other BLAS work, where a direct
-triangular inverse took 40 us.  So the QR is blocked
-(``_triangular_factor``), and every triangular inverse goes through
-``model._tri_inverse``.
+triangular inverse took 40 us.  So ``model._thin_qr`` blocks the design's QR,
+and every triangular inverse goes through ``model._tri_inverse``.
 
 The diffuse-limit ladder scores each of an increasing sequence of isotropic
 prior scales with :func:`log_marginal_likelihood` and splits -log Z into its
@@ -60,12 +59,12 @@ from .model import (
     _checked_cholesky,
     _cho_solve,
     _log_det_from_factor,
+    _thin_qr,
     _tri_inverse,
     feature_vector,
 )
 
 _EPS = float(np.finfo(float).eps)
-_QR_BLOCK_ROWS = 256
 _DUAL_ROUTE_RTOL = 1e-10
 
 
@@ -97,45 +96,23 @@ def _route_rtol(baseline: float, cond_bound: float) -> float:
     return max(baseline, 32.0 * _EPS * cond_bound)
 
 
-def _triangular_factor(matrix: np.ndarray) -> np.ndarray:
-    """R of the thin QR of a tall ``matrix``, factored in blocks of rows.
-
-    Each block of ``_QR_BLOCK_ROWS`` rows is factored in one stacked call,
-    and the stacked R factors, with the leftover rows, are factored again
-    (TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34,
-    2012).  The result is the Householder R up to the signs of its rows.
-    Each LAPACK call stays small, so OpenBLAS does not thread it (see the
-    module docstring): the blocked form of the 2008 x 9 QR took 0.15 ms.
-    """
-    rows, cols = matrix.shape
-    block = max(_QR_BLOCK_ROWS, cols)
-    whole = rows - rows % block
-    if whole <= block:
-        return np.linalg.qr(matrix, mode="r")
-    tops = np.linalg.qr(matrix[:whole].reshape(-1, block, cols), mode="r")
-    return np.linalg.qr(np.vstack([tops.reshape(-1, cols), matrix[whole:]]), mode="r")
-
-
 def _qr_route(
     design: DesignMatrix, shifted: np.ndarray, sigma_e2: float, prior_inv_chol: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """beta, posterior covariance, log det A and the singular values of R.
 
-    R is the triangular factor of the QR of ``[Phi; sigma_e L^{-1}]``, so
-    A = R^T R.  The augmented design is bordered by the column [y~; 0], so
-    the last column of the triangular factor holds Q^T y~: the Householder
-    reflectors applied to y~, not the semi-normal equations R^{-T} Phi^T y~.
-    Q itself is never formed; on a gaussian-rbf design at N = 2000 forming
-    it took ten times as long as the factorization.
+    With ``Phi = Q_phi R_phi`` the design's thin QR, R factors ``[[R_phi,
+    Q_phi^T y~], [sigma_e L^{-1}, 0]]``, the least-squares problem of
+    ``[Phi; sigma_e L^{-1}]`` bordered by [y~; 0] (A = R^T R, R beta = its
+    last column), with Q_phi^T y~ a product, not the semi-normal equations.
     """
     m = design.m
-    bordered = np.block(
-        [
-            [design.phi, shifted[:, None]],
-            [math.sqrt(sigma_e2) * prior_inv_chol, np.zeros((m, 1))],
-        ]
-    )
-    r_full = _triangular_factor(bordered)
+    q_phi, r_phi = design.qr
+    small = np.zeros((2 * m, m + 1))
+    small[:m, :m] = r_phi
+    small[:m, m] = shifted @ q_phi
+    small[m:, :m] = math.sqrt(sigma_e2) * prior_inv_chol
+    r_full = _thin_qr(small, "r")
     r = r_full[:m, :m]
     beta = scipy.linalg.solve_triangular(r, r_full[:m, m])
     r_inv = _tri_inverse(r, False, SingularPrior, "posterior precision QR factor")
@@ -165,7 +142,7 @@ class _RidgeFit(NamedTuple):
 
 
 def _ridge_fit(y, design: DesignMatrix, sigma_e2: float, prior: GaussianBelief) -> _RidgeFit:
-    """The one checked Gaussian-prior factorization, O(N M^2) in time and memory.
+    """The one checked Gaussian-prior fit, O(N M + M^3) once the design has its QR.
 
     Runs :func:`_qr_route` and :func:`_cholesky_route` and returns the QR
     values.  The routes must agree on log Z to
@@ -225,8 +202,8 @@ def posterior_coefficients(
 ) -> GaussianBelief:
     """Gaussian-prior posterior over theta, N(mu_p + beta, sigma_e2 A^{-1}).
 
-    Computed by both routes of the module: the thin QR of the augmented
-    design ``[Phi; sigma_e L^{-1}]`` and the Cholesky factor of
+    Computed by both routes of the module: the R factor of ``[Phi; sigma_e
+    L^{-1}]``, from the design's cached thin QR, and the Cholesky factor of
     ``A = Phi^T Phi + sigma_e2 Sigma^{-1}``.  They must agree within a
     tolerance of ``max(1e-10, 32 eps cond(A))`` relative (see ``_ridge_fit``)
     or :class:`ConsistencyError` is raised.  The QR result is returned.
@@ -252,7 +229,7 @@ def predict_at(
     phi(x)^T Sigma phi(x), with tiny negative round-off clamped to zero.
     When ``design``, ``sigma_e2`` and ``prior`` are supplied, the posterior
     covariance is additionally recomputed from them by both routes of the
-    module (the augmented QR and the M x M Cholesky of the posterior
+    module (the QR route and the M x M Cholesky of the posterior
     precision A, cross-checked as in :func:`posterior_coefficients`), and
     the variance ``sigma_e2 phi^T A^{-1} phi`` must agree with the one from
     ``posterior`` to ``max(1e-10, 32 eps cond(A))``.  Supplying only some of
@@ -291,8 +268,8 @@ def log_marginal_likelihood(
     Term split: fitting is half the Mahalanobis norm of ``y - Phi mu_p``,
     penalty is half the log determinant of the output covariance, constant is
     ``N/2 log(2 pi)``.  Both come from the determinant lemma on the M x M
-    posterior precision, cross-checked between the augmented-QR and the
-    Cholesky route (see the module docstring); no N x N matrix is formed.
+    posterior precision, cross-checked between the QR route, from the
+    design's cached thin QR, and the Cholesky route; no N x N matrix is formed.
     """
     fit = _ridge_fit(y, design, sigma_e2, prior)
     constant = 0.5 * design.n * math.log(2.0 * math.pi)
@@ -317,8 +294,8 @@ def diffuse_limit_decomposition(
 
     Each isotropic prior scale s of the strictly increasing ladder is scored
     by :func:`log_marginal_likelihood` under ``isotropic_prior(M, s,
-    prior_mean)``, so every rung runs the checked augmented-QR and Cholesky
-    routes.  With ``y~ = y - Phi mu_p``,
+    prior_mean)``, every rung by the checked routes from the design's one
+    QR.  With ``y~ = y - Phi mu_p``,
 
         part1 = y~^T (s Phi Phi^T + sigma_e2 I)^{-1} y~ / 2
         part2 = log det(s Phi Phi^T + sigma_e2 I) / 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -266,6 +267,25 @@ def _log_det_from_factor(factor: np.ndarray):
     return float(log_det) if log_det.ndim == 0 else log_det
 
 
+def _thin_qr(matrix: np.ndarray, mode: str = "reduced"):
+    """``np.linalg.qr(matrix, mode)`` of a tall ``matrix``, mode "reduced" or "r".
+
+    A reduced QR of two or more whole blocks of 256 rows is a TSQR (Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012) of LAPACK
+    calls too small for OpenBLAS to thread (see gaussian_prior).
+    """
+    rows, cols = matrix.shape
+    block = max(256, cols)
+    whole = rows - rows % block
+    if whole <= block or mode == "r":
+        return np.linalg.qr(matrix, mode)
+    q_blocks, tops = np.linalg.qr(matrix[:whole].reshape(-1, block, cols))
+    q_top, r = np.linalg.qr(np.vstack([tops.reshape(-1, cols), matrix[whole:]]))
+    k = len(tops) * cols
+    q_whole = q_blocks @ q_top[:k].reshape(-1, cols, cols)
+    return np.vstack([q_whole.reshape(whole, cols), q_top[k:]]), r
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """A validated design matrix with its cached Gram factorization.
@@ -299,6 +319,11 @@ class DesignMatrix:
     def inv_gram(self) -> np.ndarray:
         inv = _cho_solve(self.chol, np.eye(self.m))
         return 0.5 * (inv + inv.T)
+
+    @cached_property
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Thin QR ``(Q, R)`` of ``phi``, formed on first use and kept."""
+        return _thin_qr(self.phi)
 
 
 def _basis_matrix(family: BasisFamily, alpha: np.ndarray, x: np.ndarray) -> np.ndarray:

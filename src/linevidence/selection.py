@@ -255,6 +255,17 @@ def _score_point(sweep: _Sweep, dataset: Dataset, family: BasisFamily, vec, valu
     return -math.inf if fit is None else value(fit, point[1])
 
 
+def _distinct_rows(rows: np.ndarray):
+    """``np.unique(rows, axis=0)``, the stable order of ``rows`` by it, and each
+    ordered row's index into it: one ``np.lexsort``, faster than ``np.unique``.
+    """
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[first], order, np.cumsum(first) - 1
+
+
 def _score_posteriors(sweep: _Sweep, points, dataset: Dataset, family: BasisFamily, score):
     """``(kept, scored)`` of a sweep's points, each distinct alpha's design fitted alone once.
 
@@ -265,11 +276,9 @@ def _score_posteriors(sweep: _Sweep, points, dataset: Dataset, family: BasisFami
     degenerate.  Each fit is dropped once its points are scored.
     """
     kept, merged = sweep.merge(points)
-    distinct, inverse, counts = np.unique(
-        merged[:, :-1], axis=0, return_inverse=True, return_counts=True
-    )
+    distinct, order, design_of = _distinct_rows(merged[:, :-1])
     rows, sigmas = np.flatnonzero(kept), merged[:, -1].tolist()
-    groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    groups = np.split(order, np.flatnonzero(np.diff(design_of)) + 1)
     scored = [None] * len(points)
     for alpha, group in zip(distinct, groups):
         fitted = _fit_design(dataset, family, alpha, posterior=True)
@@ -296,10 +305,9 @@ def _score_points(sweep: _Sweep, points, dataset: Dataset, family: BasisFamily, 
     kept, merged = sweep.merge(points)
     if not np.isfinite(merged[:, :-1]).all():
         raise ValueError("alpha must contain only finite values")
-    distinct, inverse = np.unique(merged[:, :-1], axis=0, return_inverse=True)
+    distinct, order, design_of = _distinct_rows(merged[:, :-1])
     # the feasible points in order of their designs, and where each block's points begin
-    order = np.argsort(inverse.ravel(), kind="stable")
-    design_of, rows, sigmas = inverse.ravel()[order], np.flatnonzero(kept)[order], merged[order, -1]
+    rows, sigmas = np.flatnonzero(kept)[order], merged[order, -1]
     starts = range(0, len(distinct), _GRID_BLOCK)
     edges = np.searchsorted(design_of, [*starts, len(distinct)]).tolist()
     values, messages = np.full(len(points), -math.inf), []  # messages: per distinct alpha

@@ -186,6 +186,21 @@ class TestDesignMatrix:
             row = feature_vector(family, [0.0], 800.0)
         assert row[0] == math.inf
 
+    # below one block of rows, whole blocks only, and whole blocks with leftover rows
+    @pytest.mark.parametrize("n", [200, 1024, 1100])
+    def test_thin_qr_is_orthonormal_and_reproduces_phi(self, n):
+        x = np.linspace(0.0, 10.0, n)
+        ds = Dataset(inputs=x[:, None], outputs=np.zeros(n))
+        design = build_design_matrix(ds, BasisFamily("gaussian-rbf", 8), np.linspace(0.5, 9.5, 8))
+        q, r = design.qr
+        assert q.shape == (n, 8) and r.shape == (8, 8)
+        np.testing.assert_array_equal(r, np.triu(r))
+        np.testing.assert_allclose(q.T @ q, np.eye(8), rtol=0, atol=16 * EPS)
+        np.testing.assert_allclose(
+            q @ r, design.phi, rtol=0, atol=8 * EPS * np.linalg.norm(design.phi, 2)
+        )
+        assert design.qr is design.qr
+
 
 def random_gram(rng, m, order="C"):
     """Gram matrix of M random columns whose scales span about 1e-3 to 1e3."""

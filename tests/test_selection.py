@@ -519,6 +519,34 @@ class TestStackedGrid:
             empirical_bayes_optimize(ds, CONSTANT, "log_area", config, fixed=_VARIANCE_FIXED)
 
 
+EXAMPLE2_AXIS = np.linspace(-10.0, 10.0, 41)
+HYPER_GRID_AXIS = np.linspace(-5.0, 5.0, 21)
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # example2's ordered 41 x 41 center grid: 820 distinct rows
+            np.array([(a, b) for a in EXAMPLE2_AXIS for b in EXAMPLE2_AXIS if a < b]),
+            # the alphas of hyper-grid's 21 x 21 x 8 grid: each center pair eight times
+            np.repeat([(a, b) for a in HYPER_GRID_AXIS for b in HYPER_GRID_AXIS], 8, axis=0),
+            np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0], [1.0, 0.0], [0.0, 0.0]]),
+            np.empty((4, 0)),
+            np.empty((0, 2)),
+        ],
+        ids=["example2", "hyper-grid", "signed-zeros", "no-columns", "no-rows"],
+    )
+    def test_matches_np_unique(self, rows):
+        distinct, order, design_of = selection._distinct_rows(rows)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        inverse = np.empty_like(order)
+        inverse[order] = design_of
+        np.testing.assert_array_equal(distinct, want)
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
+        np.testing.assert_array_equal(order, np.argsort(inverse, kind="stable"))
+
+
 class TestGridRecord:
     """The search's record counts its degenerate grid points by reason: the
     message of the RankDeficient that build_design_matrix raises there."""
@@ -602,6 +630,28 @@ class TestGridRecord:
 
 
 class TestEmpiricalBayesOptimize:
+    def test_flat_prior_scores_never_form_the_design_qr(self, monkeypatch):
+        # the thin QR serves the Gaussian-prior fits alone
+        formed = []
+        monkeypatch.setattr(model, "_thin_qr", lambda matrix, *args: formed.append(matrix.shape))
+        rng = np.random.default_rng(24)
+        x = np.linspace(-5.0, 5.0, 60)
+        family = BasisFamily("gaussian-rbf", 2)
+        truth = np.exp(-0.5 * (x[:, None] - [-1.5, 2.0]) ** 2) @ [1.5, -1.2]
+        dataset = Dataset(inputs=x[:, None], outputs=truth + rng.normal(0.0, 0.5, 60))
+        config = OptimizerConfig(
+            bounds={"alpha0": (-4.0, 4.0), "alpha1": (-4.0, 4.0)},
+            grid_points=9,
+            max_evals=60,
+            ordering=(("alpha0", "alpha1"),),
+        )
+        fixed = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.25)
+        best, _, trace = empirical_bayes_optimize(dataset, family, "log_area", config, fixed=fixed)
+        assert len(trace) > 36  # the refine scored points beyond the 36 feasible grid points
+        design = build_design_matrix(dataset, family, best.alpha)
+        log_area_under_likelihood(dataset.outputs, design, best.sigma_e2)
+        assert formed == []
+
     def test_recovers_area_maximizing_noise_var(self):
         config = OptimizerConfig(
             bounds={"sigma_e2": (1e-6, 100.0)}, grid_points=201, tolerance=1e-3
