@@ -37,7 +37,6 @@ from .model import (
 from .improper_prior import (
     EvidenceReport,
     log_area_under_likelihood,
-    smooth,
     unbiased_noise_variance,
 )
 from .improper_prior import posterior_coefficients as flat_posterior_coefficients
@@ -126,6 +125,5 @@ __all__ = [
     "quadrature_log_area",
     "resampling_estimator_stats",
     "sample_posterior",
-    "smooth",
     "unbiased_noise_variance",
 ]

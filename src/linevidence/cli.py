@@ -2,8 +2,9 @@
 
 Subcommands: ``table2`` (noise-variance estimator comparison), ``asymptote``
 (diffuse-prior ladder), ``example2`` (two-center recovery study), ``verify``
-(oracle cross-check suite).  Every emitted file starts with a metadata header
-and is byte-identical across reruns with the same configuration.
+(the acceptance claims against their tolerances).  Every emitted file starts
+with a metadata header and is byte-identical across reruns with the same
+configuration.
 """
 from __future__ import annotations
 
@@ -11,15 +12,15 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
-import warnings
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, gaussian_prior, improper_prior, oracles
-from .exceptions import DegenerateFitWarning
+from . import __version__, _claims
 from .model import (
     BasisFamily,
     Dataset,
@@ -31,8 +32,6 @@ from .selection import OptimizerConfig, empirical_bayes_optimize
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-
-_TABLE2_HALF_SPANS = (0, 1, 2, 3)
 
 _EX2_N = 200
 _EX2_X = np.linspace(-10.0, 10.0, _EX2_N)
@@ -89,27 +88,13 @@ def _out_path(args: argparse.Namespace, stem: str) -> Path:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     """Biased ML noise variance vs the likelihood-area maximizer on +-c data."""
-    family = BasisFamily("constant", 1)
-    search = OptimizerConfig(
-        bounds={"sigma_e2": (1e-6, 100.0)},
-        grid_points=201,
-        tolerance=1e-3,
-    )
-    rows = []
-    for c in _TABLE2_HALF_SPANS:
-        y = np.array([-float(c), float(c)])
-        dataset = Dataset(inputs=[[-1.0], [1.0]], outputs=y)
-        design = build_design_matrix(dataset, family, [])
-        _, sigma2_ml = ml_estimate(y, design)
-        fixed = HyperParams(alpha=[], sigma_e2=1.0)
-        best, _, _ = empirical_bayes_optimize(dataset, family, "log_area", search, fixed)
-        if improper_prior._zero_residual(y, sigma2_ml * design.n):
-            warnings.warn(
-                f"c={c}: residual is zero, area maximizer pinned at the lower bound",
-                DegenerateFitWarning,
-                stacklevel=2,
-            )
-        rows.append([c, float(sigma2_ml), float(best.sigma_e2)])
+    table = _claims.noise_variance_table()
+    rows = [
+        [c, ml, area]
+        for c, ml, area in zip(
+            _claims.TABLE2_HALF_SPANS, table["sigma2_ml"], table["sigma2_area"]
+        )
+    ]
     path = _out_path(args, "table2")
     _write_table(path, _meta("table2"), ["c", "sigma2_ml", "sigma2_area"], rows)
     print("c  sigma2_ml  sigma2_area")
@@ -121,19 +106,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_asymptote(args: argparse.Namespace) -> int:
     """log Z along a widening isotropic prior, split into its two parts."""
-    y = np.array([-2.0, 2.0])
-    dataset = Dataset(inputs=[[-1.0], [1.0]], outputs=y)
-    family = BasisFamily("constant", 1)
-    design = build_design_matrix(dataset, family, [])
-    sigma_p = np.logspace(-1.0, 6.0, 141)
-    ladder = sigma_p**2
-    series_1 = gaussian_prior.diffuse_limit_decomposition(
-        y, design, 1.0, ladder, prior_mean=2.0
-    )
-    series_2 = gaussian_prior.diffuse_limit_decomposition(
-        y, design, 16.0, ladder, prior_mean=2.0
-    )
-    log_s = improper_prior.log_area_under_likelihood(y, design, 1.0).log_value
+    _, _, sigma_p, series_1, series_2, log_s = _claims.diffuse_ladder()
     rows = []
     for sp, p1, p2 in zip(sigma_p, series_1, series_2):
         rows.append(
@@ -247,117 +220,51 @@ def cmd_example2(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    checks: list[dict] = []
-
-    def record(name: str, fn) -> None:
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    def check_quadrature():
-        worst = 0.0
-        for _ in range(5):
-            n = int(rng.integers(3, 9))
-            m = int(rng.integers(1, 3))
-            y_vec = rng.normal(size=n)
-            dataset = Dataset(inputs=np.linspace(-1, 1, n)[:, None], outputs=y_vec)
-            design = build_design_matrix(dataset, BasisFamily("polynomial", m), [])
-            sigma2 = float(rng.uniform(0.4, 2.5))
-            closed = improper_prior.log_area_under_likelihood(y_vec, design, sigma2).log_value
-            approx = oracles.quadrature_log_area(
-                y_vec, design, sigma2, oracles.QuadratureSpec(nodes_per_dim=401)
-            )
-            gap = abs(closed - approx) / max(abs(closed), abs(approx), 1.0)
-            worst = max(worst, gap)
-            if gap > 1e-6:
-                return False, f"relative gap {gap:.3e} exceeds 1e-6"
-        return True, f"worst relative gap {worst:.3e}"
-
-    def check_monte_carlo():
-        for _ in range(2):
-            n, m = 5, 2
-            y_vec = rng.normal(size=n)
-            dataset = Dataset(inputs=np.linspace(-1, 1, n)[:, None], outputs=y_vec)
-            design = build_design_matrix(dataset, BasisFamily("polynomial", m), [])
-            sigma2 = 0.8
-            prior = gaussian_prior.isotropic_prior(m, 1.3, 0.2)
-            closed = gaussian_prior.log_marginal_likelihood(
-                y_vec, design, sigma2, prior
-            ).log_value
-            approx, se = oracles.monte_carlo_log_marginal(
-                y_vec, design, sigma2, prior, 200_000, int(rng.integers(2**31))
-            )
-            if abs(closed - approx) > 3.0 * se:
-                return False, f"|{closed:.6f} - {approx:.6f}| > 3 x {se:.2e}"
-        return True, "closed form within 3 standard errors"
-
-    def check_dual_route():
-        for _ in range(10):
-            n = int(rng.integers(3, 10))
-            m = int(rng.integers(1, min(n, 4)))
-            y_vec = rng.normal(size=n)
-            dataset = Dataset(inputs=np.linspace(-1, 1, n)[:, None], outputs=y_vec)
-            design = build_design_matrix(dataset, BasisFamily("polynomial", m), [])
-            prior = gaussian_prior.isotropic_prior(m, float(rng.uniform(0.2, 5.0)), 0.5)
-            gaussian_prior.posterior_coefficients(
-                y_vec, design, float(rng.uniform(0.3, 2.0)), prior
-            )
-        return True, "augmented-QR and M x M Cholesky posterior routes agree"
-
-    def check_smoothing():
-        for _ in range(10):
-            n = int(rng.integers(3, 12))
-            m = int(rng.integers(1, min(n, 4)))
-            y_vec = rng.normal(size=n)
-            dataset = Dataset(inputs=np.linspace(-1, 1, n)[:, None], outputs=y_vec)
-            design = build_design_matrix(dataset, BasisFamily("polynomial", m), [])
-            improper_prior.smooth(y_vec, design, 1.0)
-        return True, "projection identities hold"
-
-    def check_unbiasedness():
-        n, m, sigma2 = 20, 3, 0.5
-        dataset = Dataset(inputs=np.linspace(-1, 1, n)[:, None], outputs=np.zeros(n))
-        design = build_design_matrix(dataset, BasisFamily("polynomial", m), [])
-        stats = oracles.resampling_estimator_stats(
-            design, np.array([1.0, -2.0, 0.5]), sigma2, 3000, int(rng.integers(2**31))
-        )
-        se_unb = math.sqrt(stats.sigma2_unbiased_var / stats.n_reps)
-        se_ml = math.sqrt(stats.sigma2_ml_var / stats.n_reps)
-        expected_ml = (n - m) / n * sigma2
-        if abs(stats.sigma2_unbiased_mean - sigma2) > 3 * se_unb:
-            return False, "divisor N-M estimator mean off by more than 3 se"
-        if abs(stats.sigma2_ml_mean - expected_ml) > 3 * se_ml:
-            return False, "divisor N estimator mean off by more than 3 se"
-        return (
-            True,
-            f"mean(unbiased)={stats.sigma2_unbiased_mean:.4f}, "
-            f"mean(ml)={stats.sigma2_ml_mean:.4f}",
-        )
-
-    def check_ladder():
-        y_vec = np.array([-2.0, 2.0])
-        dataset = Dataset(inputs=[[-1.0], [1.0]], outputs=y_vec)
-        design = build_design_matrix(dataset, BasisFamily("constant", 1), [])
-        gaussian_prior.diffuse_limit_decomposition(
-            y_vec, design, 1.0, np.logspace(-2, 12, 60), prior_mean=2.0
-        )
-        return True, "augmented-QR and Cholesky routes agree on every rung"
-
-    record("quadrature_vs_closed_form_area", check_quadrature)
-    record("monte_carlo_vs_closed_form_marginal", check_monte_carlo)
-    record("posterior_dual_route", check_dual_route)
-    record("smoothing_identities", check_smoothing)
-    record("noise_variance_unbiasedness", check_unbiasedness)
-    record("diffuse_ladder_cross_check", check_ladder)
-    return checks
+# The claims of tests/test_acceptance.py that verify runs: each at its
+# acceptance seed offset from --seed (None: the claim draws nothing), with
+# the acceptance tolerance of each measurement it checks.  Criterion 5, the
+# ~7 s recovery study, is left to the tests.
+_CHECKS = (
+    (_claims.noise_variance_table, None, {"ml_gap": ("<=", 0.0), "area_gap": ("<=", 1e-2)}),
+    (_claims.area_vs_quadrature, 0, {"worst_rel_gap": ("<=", 1e-6)}),
+    (_claims.evidence_vs_monte_carlo, 1, {"worst_se_multiple": ("<=", 3.0)}),
+    (_claims.diffuse_prior_asymptotics, None, {
+        "log_z_not_falling": ("<=", 0), "log_s_margin": (">", 10.0), "part1_gap": ("<=", 1e-4),
+        "part2_not_growing": ("<=", 0), "inversion_gap": ("<=", 1e-3),
+        "bound_rel_gap": ("<=", 1e-12), "gap_step": ("<", 1e-3),
+    }),
+    (_claims.estimator_unbiasedness, 2, {
+        "unbiased_se_multiple": ("<=", 3.0), "ml_se_multiple": ("<=", 3.0),
+        "package_gap": ("<=", 1e-12), "cov_se_multiple": ("<=", 4.0),
+    }),
+    (_claims.algebraic_identities, 3, {
+        "route_gap": ("<=", 1e-10), "energy_gap": ("<=", 1e-9),
+        "shift_gap": ("<=", 1e-12), "orth_gap": ("<=", 1e-9),
+    }),
+)
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">": operator.gt}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = _verify_checks(args.seed)
+    checks = []
+    for claim, offset, bounds in _CHECKS:
+        start = time.perf_counter()
+        try:
+            measured = claim() if offset is None else claim(args.seed + offset)
+        except Exception as exc:  # a claim that raises fails each of its checks
+            measured = dict.fromkeys(bounds, f"{type(exc).__name__}: {exc}")
+        print(f"{claim.__name__}: {time.perf_counter() - start:.2f} s")
+        for key, (relation, tolerance) in bounds.items():
+            value = measured[key]
+            checks.append(
+                {
+                    "name": f"{claim.__name__}.{key}",
+                    "measured": value,
+                    "tolerance": f"{relation} {tolerance!r}",
+                    "passed": not isinstance(value, str)
+                    and _RELATIONS[relation](value, tolerance),
+                }
+            )
     all_passed = all(c["passed"] for c in checks)
     report = {
         "meta": _meta("verify", args.seed),
@@ -368,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     path.write_text(json.dumps(report, indent=2) + "\n")
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
-        print(f"{status}  {check['name']}: {check['detail']}")
+        print(f"{status}  {check['name']}: {check['measured']} (tolerance {check['tolerance']})")
     print(f"wrote {path}")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
@@ -397,7 +304,7 @@ def main(argv=None) -> int:
     p_ex2.add_argument("--seed", type=int, required=True, help="base random seed")
     p_ex2.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
     p_ex2.set_defaults(run=cmd_example2)
-    p_ver = sub.add_parser("verify", parents=[common], help="oracle cross-check suite")
+    p_ver = sub.add_parser("verify", parents=[common], help="the acceptance claims, measured")
     p_ver.add_argument("--seed", type=int, default=20250811, help="random seed")
     p_ver.set_defaults(run=cmd_verify)
     args = parser.parse_args(argv)

@@ -8,8 +8,7 @@ likelihood,
            * exp(-||y - f_hat||^2 / (2 sigma_e2)),
 
 where ``f_hat`` is the least-squares fit.  This module computes the flat-prior
-posterior and smoothing distributions, log S and the unbiased
-noise-variance estimator derived from it.
+posterior, log S and the unbiased noise-variance estimator derived from it.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConsistencyError, DegenerateDof, DegenerateFitWarning
+from .exceptions import DegenerateDof, DegenerateFitWarning
 from .model import (
     DesignMatrix,
     GaussianBelief,
@@ -30,7 +29,6 @@ from .model import (
 )
 
 _REPORT_RTOL = 1e-10
-_IDENTITY_RTOL = 1e-9
 # Residuals below this fraction of ||y||^2 count as an exact interpolation.
 # zero-residual detector: an exact interpolation computes rss at the rounding
 # floor eps^2 * cond^2 relative to y^T y, while a genuinely small fit stays
@@ -136,35 +134,6 @@ def posterior_coefficients(y, design: DesignMatrix, sigma_e2: float) -> Gaussian
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
     return _flat_posterior(_flat_fit(y, design, posterior=True), sigma_e2)
-
-
-def smooth(y, design: DesignMatrix, sigma_e2: float) -> GaussianBelief:
-    """Posterior over the noise-free fitted values f = Phi theta.
-
-    Mean is the projection ``f_hat = Phi (Phi^T Phi)^{-1} Phi^T y`` and the
-    covariance is ``sigma_e2 Phi (Phi^T Phi)^{-1} Phi^T``.  Two quadratic-form
-    identities are asserted on the way out: ``f_hat^T f_hat = y^T Phi
-    (Phi^T Phi)^{-1} Phi^T y`` and ``||y - f_hat||^2 = y^T y - f_hat^T f_hat``
-    (so the fit never has more energy than the data).
-    """
-    y = _check_outputs(y, design)
-    _check_noise_var(sigma_e2)
-    theta_hat, rss = _residual_sum_of_squares(y, design)
-    f_hat = design.phi @ theta_hat
-    yy = float(y @ y)
-    ff = float(f_hat @ f_hat)
-    scale = max(yy, 1.0)
-    quad = float((design.phi.T @ y) @ theta_hat)
-    if abs(ff - quad) > _IDENTITY_RTOL * scale:
-        raise ConsistencyError("fitted-energy identity violated beyond tolerance")
-    if abs(rss - (yy - ff)) > _IDENTITY_RTOL * scale:
-        raise ConsistencyError("residual-energy identity violated beyond tolerance")
-    if ff > yy * (1.0 + _IDENTITY_RTOL) + _IDENTITY_RTOL:
-        raise ConsistencyError("fit energy exceeds data energy")
-    half = design.solve_gram(design.phi.T)
-    cov = sigma_e2 * (design.phi @ half)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean=f_hat, cov=cov)
 
 
 def log_area_under_likelihood(y, design: DesignMatrix, sigma_e2: float) -> EvidenceReport:

@@ -118,6 +118,20 @@ def output_covariance(design: DesignMatrix, sigma_e2: float, prior: GaussianBeli
     return 0.5 * (cov + cov.T)
 
 
+def data_space_posterior_mean(
+    y, design: DesignMatrix, sigma_e2: float, prior: GaussianBelief
+) -> np.ndarray:
+    """Gaussian-prior posterior mean in its data-space form.
+
+    ``mu_p + Sigma_theta Phi^T S_yy^{-1} (y - Phi mu_p)``, with ``S_yy`` the
+    dense output covariance of :func:`output_covariance`: a reference for
+    the package's M x M posterior precision routes.
+    """
+    shifted = np.asarray(y, dtype=float) - design.phi @ prior.mean
+    s_yy = output_covariance(design, sigma_e2, prior)
+    return prior.mean + prior.cov @ design.phi.T @ np.linalg.solve(s_yy, shifted)
+
+
 def monte_carlo_log_marginal(
     y,
     design: DesignMatrix,

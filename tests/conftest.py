@@ -1,6 +1,11 @@
 """Shared test setup."""
 import warnings
 
+import pytest
+
+from linevidence import DegenerateFitWarning
+from linevidence.cli import main
+
 # When a property test fails, hypothesis's pytest plugin imports
 # hypothesis.extra._patching, which imports libcst; libcst emits a
 # DeprecationWarning at import, and the error::DeprecationWarning filter turns
@@ -12,3 +17,13 @@ try:
         import hypothesis.extra._patching  # noqa: F401
 except ImportError:  # no libcst; the plugin guards the same import
     pass
+
+
+@pytest.fixture(scope="session")
+def verify_run(tmp_path_factory):
+    """Exit code and report path of one ``linevidence verify`` at its default
+    seed, shared by the acceptance gate and the CLI tests."""
+    out = tmp_path_factory.mktemp("verify")
+    with pytest.warns(DegenerateFitWarning):
+        code = main(["verify", "--out", str(out)])
+    return code, out / "verify_report.json"

@@ -4,7 +4,12 @@ Each test covers one published claim about the package at its stated tolerance
 and prints a single PASS/FAIL line (visible with ``pytest -s``); the ``-v``
 test names mirror the same list.  Budgets are asserted, so a pathologically
 slow environment fails loudly rather than silently degrading.
+
+Every criterion but 5 is measured by a function of ``linevidence._claims``,
+which ``linevidence verify`` runs too; each such test also asserts that the
+verify report of the default seed holds bitwise the measurements it got.
 """
+import json
 import math
 import time
 
@@ -13,177 +18,101 @@ import pytest
 from scipy import linalg
 from scipy.optimize import minimize
 
-from linevidence import (
-    BasisFamily,
-    Dataset,
-    DegenerateFitWarning,
-    ModelScore,
-    QuadratureSpec,
-    bma_weights,
-    build_design_matrix,
-    diffuse_limit_decomposition,
-    flat_posterior_coefficients,
-    isotropic_prior,
-    log_area_under_likelihood,
-    log_marginal_likelihood,
-    ml_estimate,
-    monte_carlo_log_marginal,
-    output_covariance,
-    penalty_crossing_scale,
-    quadrature_log_area,
-    resampling_estimator_stats,
-    unbiased_noise_variance,
-)
+from linevidence import DegenerateFitWarning, _claims
 from linevidence.cli import (
     _EX2_ALPHA,
     _EX2_SIGMA2,
     _EX2_THETA,
     _EX2_X,
-    main,
     run_example2,
 )
 
 SEED = 20250811
 
 
-def report(tag: str, ok: bool, elapsed: float, detail: str = "") -> None:
-    status = "PASS" if ok else "FAIL"
+def gate(tag: str, elapsed: float, detail: str = "", **clauses: bool) -> None:
+    """Print one criterion's PASS/FAIL line, then fail on each clause that does not hold."""
+    status = "PASS" if all(clauses.values()) else "FAIL"
     suffix = f"  [{detail}]" if detail else ""
     print(f"{status}  {tag}  ({elapsed:.1f}s){suffix}")
+    assert [name for name, held in clauses.items() if not held] == []
 
 
-def poly_instance(rng, n_max, m_max):
-    n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(1, min(n - 1, m_max) + 1))
-    x = np.linspace(-1.0, 1.0, n)
-    y = rng.normal(size=n)
-    ds = Dataset(inputs=x[:, None], outputs=y)
-    design = build_design_matrix(ds, BasisFamily("polynomial", m), [])
-    return y, design
-
-
-def test_criterion_1_noise_variance_table(tmp_path):
+def timed(claim, *args):
     start = time.perf_counter()
+    measured = claim(*args)
+    return measured, time.perf_counter() - start
+
+
+def assert_verify_agrees(verify_run, claim, measured):
+    """``linevidence verify`` reports each checked measurement of ``claim`` as measured here."""
+    prefix = f"{claim.__name__}."
+    reported = {
+        check["name"].removeprefix(prefix): check["measured"]
+        for check in json.loads(verify_run[1].read_text())["checks"]
+        if check["name"].startswith(prefix)
+    }
+    assert reported
+    assert reported == {key: measured[key] for key in reported}
+
+
+def test_criterion_1_noise_variance_table(verify_run):
     with pytest.warns(DegenerateFitWarning):
-        code = main(["table2", "--out", str(tmp_path)])
-    elapsed = time.perf_counter() - start
-    lines = [
-        line
-        for line in (tmp_path / "table2.csv").read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
-    rows = [line.split(",") for line in lines[1:]]
-    got_ml = [float(r[1]) for r in rows]
-    got_area = [float(r[2]) for r in rows]
-    ok = (
-        code == 0
-        and got_ml == [0.0, 1.0, 4.0, 9.0]
-        and abs(got_area[0]) <= 1e-2
-        and all(abs(g - want) <= 1e-2 for g, want in zip(got_area[1:], (2.0, 8.0, 18.0)))
-        and elapsed < 1.0
+        table, elapsed = timed(_claims.noise_variance_table)
+    got_ml, got_area = table["sigma2_ml"], table["sigma2_area"]
+    gate(
+        "divisor N vs N-M noise-variance table",
+        elapsed,
+        ml=got_ml == [0.0, 1.0, 4.0, 9.0],
+        area=abs(got_area[0]) <= 1e-2
+        and all(abs(g - want) <= 1e-2 for g, want in zip(got_area[1:], (2.0, 8.0, 18.0))),
+        budget=elapsed < 1.0,
     )
-    report("divisor N vs N-M noise-variance table", ok, elapsed)
-    assert got_ml == [0.0, 1.0, 4.0, 9.0]
-    assert got_area[0] == pytest.approx(0.0, abs=1e-2)
-    assert got_area[1:] == pytest.approx([2.0, 8.0, 18.0], abs=1e-2)
-    assert elapsed < 1.0
+    assert_verify_agrees(verify_run, _claims.noise_variance_table, table)
 
 
-def test_criterion_2_area_vs_quadrature():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(20):
-        y, design = poly_instance(rng, n_max=10, m_max=2)
-        sigma2 = float(rng.uniform(0.3, 2.5))
-        closed = log_area_under_likelihood(y, design, sigma2).log_value
-        approx = quadrature_log_area(y, design, sigma2, QuadratureSpec())
-        worst = max(worst, abs(closed - approx) / max(abs(closed), abs(approx), 1.0))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 30.0
-    report("closed-form area vs tensor quadrature", ok, elapsed, f"worst rel {worst:.2e}")
-    assert worst <= 1e-6
-    assert elapsed < 30.0
+def test_criterion_2_area_vs_quadrature(verify_run):
+    measured, elapsed = timed(_claims.area_vs_quadrature, SEED)
+    worst = measured["worst_rel_gap"]
+    gate(
+        "closed-form area vs tensor quadrature",
+        elapsed,
+        f"worst rel {worst:.2e}",
+        gap=worst <= 1e-6,
+        budget=elapsed < 30.0,
+    )
+    assert_verify_agrees(verify_run, _claims.area_vs_quadrature, measured)
 
 
-def test_criterion_3_evidence_vs_monte_carlo():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 1)
-    worst_sigmas = 0.0
-    for _ in range(10):
-        y, design = poly_instance(rng, n_max=6, m_max=3)
-        sigma2 = float(rng.uniform(0.4, 2.0))
-        prior = isotropic_prior(design.m, float(rng.uniform(0.5, 3.0)), 0.3)
-        closed = log_marginal_likelihood(y, design, sigma2, prior).log_value
-        approx, se = monte_carlo_log_marginal(
-            y, design, sigma2, prior, 1_000_000, seed=int(rng.integers(2**31))
-        )
-        worst_sigmas = max(worst_sigmas, abs(closed - approx) / se)
-    elapsed = time.perf_counter() - start
-    ok = worst_sigmas <= 3.0 and elapsed < 60.0
-    report(
+def test_criterion_3_evidence_vs_monte_carlo(verify_run):
+    measured, elapsed = timed(_claims.evidence_vs_monte_carlo, SEED + 1)
+    worst_sigmas = measured["worst_se_multiple"]
+    gate(
         "closed-form evidence vs Monte Carlo",
-        ok,
         elapsed,
         f"worst gap {worst_sigmas:.2f} se",
+        gap=worst_sigmas <= 3.0,
+        budget=elapsed < 60.0,
     )
-    assert worst_sigmas <= 3.0
-    assert elapsed < 60.0
+    assert_verify_agrees(verify_run, _claims.evidence_vs_monte_carlo, measured)
 
 
-def test_criterion_4_diffuse_prior_asymptotics():
-    start = time.perf_counter()
-    y = np.array([-2.0, 2.0])
-    ds = Dataset(inputs=[[-1.0], [1.0]], outputs=y)
-    design = build_design_matrix(ds, BasisFamily("constant", 1), [])
-    ladder = np.logspace(-1.0, 6.0, 141) ** 2
-    series_1 = diffuse_limit_decomposition(y, design, 1.0, ladder, prior_mean=2.0)
-    series_16 = diffuse_limit_decomposition(y, design, 16.0, ladder, prior_mean=2.0)
-    log_s = log_area_under_likelihood(y, design, 1.0).log_value
-
-    tail = [r for r in series_1 if r.sigma_p2 >= 100.0]
-    log_z = [r.log_z for r in tail]
-    strictly_falling = all(b < a for a, b in zip(log_z, log_z[1:]))
-    stays_away = series_1[-1].log_z < log_s - 10.0
-
-    part1_converges = abs(tail[-1].part1 - 4.0) <= 1e-4
-    part2 = [r.part2 for r in series_1]
-    part2_growing = all(b > a for a, b in zip(part2, part2[1:]))
-    # the volume term passes any fixed bound: solve for the scale where it
-    # reaches 1e3 and confirm the growth law at an attainable rung
-    crossing = penalty_crossing_scale(design, 1.0, 1e3)
-    rung = diffuse_limit_decomposition(y, design, 1.0, [1e12])[0]
-    crossing_known = penalty_crossing_scale(design, 1.0, rung.part2)
-    inversion_ok = math.isclose(crossing_known, math.log(1e12), abs_tol=1e-3)
-    lam = design.gram[0, 0]
-    bound_met = math.isclose(0.5 * (crossing + math.log(lam)), 1e3, rel_tol=1e-12)
-
-    # the gap between the two noise levels decays like 1/sigma_p2, so its
-    # successive differences only drop under 1e-3 from sigma_p ~ 30 on; check
-    # the last four decades of the ladder
-    diffs = [a.log_z - b.log_z for a, b in zip(series_1, series_16) if a.sigma_p2 >= 1e4]
-    gap_settles = all(abs(b - a) < 1e-3 for a, b in zip(diffs, diffs[1:]))
-
-    elapsed = time.perf_counter() - start
-    ok = (
-        strictly_falling
-        and stays_away
-        and part1_converges
-        and part2_growing
-        and math.isfinite(crossing)
-        and inversion_ok
-        and bound_met
-        and gap_settles
-        and elapsed < 5.0
+def test_criterion_4_diffuse_prior_asymptotics(verify_run):
+    c, elapsed = timed(_claims.diffuse_prior_asymptotics)
+    gate(
+        "diffuse-limit ladder asymptotics",
+        elapsed,
+        strictly_falling=c["log_z_not_falling"] == 0,
+        stays_away=c["log_s_margin"] > 10.0,
+        part1_converges=c["part1_gap"] <= 1e-4,
+        part2_growing=c["part2_not_growing"] == 0,
+        crossing_finite=math.isfinite(c["crossing"]),
+        inversion_ok=c["inversion_gap"] <= 1e-3,
+        bound_met=c["bound_rel_gap"] <= 1e-12,
+        gap_settles=c["gap_step"] < 1e-3,
+        budget=elapsed < 5.0,
     )
-    report("diffuse-limit ladder asymptotics", ok, elapsed)
-    assert strictly_falling
-    assert stays_away
-    assert part1_converges
-    assert part2_growing
-    assert math.isfinite(crossing) and inversion_ok and bound_met
-    assert gap_settles
-    assert elapsed < 5.0
+    assert_verify_agrees(verify_run, _claims.diffuse_prior_asymptotics, c)
 
 
 @pytest.fixture(scope="module")
@@ -196,21 +125,15 @@ def example2_summary():
 
 def test_criterion_5_two_center_recovery(example2_summary):
     s = example2_summary
-    elapsed = s["elapsed"]
-    mse_theta_ok = 0.7 * 0.0271 <= s["mse_theta"] <= 1.3 * 0.0271
-    bias_ok = all(abs(b) <= 3 * se for b, se in zip(s["alpha_bias"], s["alpha_se"]))
-    var_order_ok = s["alpha_var"][0] > s["alpha_var"][1]
-    ok = mse_theta_ok and bias_ok and var_order_ok and elapsed < 600.0
-    report(
+    gate(
         "two-center recovery: coefficient error, bias, variance order",
-        ok,
-        elapsed,
+        s["elapsed"],
         f"mse_theta {s['mse_theta']:.4f}",
+        mse_theta_ok=0.7 * 0.0271 <= s["mse_theta"] <= 1.3 * 0.0271,
+        bias_ok=all(abs(b) <= 3 * se for b, se in zip(s["alpha_bias"], s["alpha_se"])),
+        var_order_ok=s["alpha_var"][0] > s["alpha_var"][1],
+        budget=s["elapsed"] < 600.0,
     )
-    assert mse_theta_ok
-    assert bias_ok
-    assert var_order_ok
-    assert elapsed < 600.0
 
 
 def _two_center_columns(alpha):
@@ -281,7 +204,6 @@ def test_criterion_5_two_center_alpha_mse_window(example2_summary):
         polish_converged = polish_converged and polish.success
         worst_move = max(worst_move, float(np.max(np.abs(polish.x - alpha_hat))))
         worst_gain = max(worst_gain, -polish.fun - _two_center_log_area(y, alpha_hat))
-    maximizer_ok = polish_converged and worst_move <= 1e-4 and worst_gain <= 1e-6
 
     # The window is the Cramer-Rao bound with the band the coefficient clause
     # uses (~5 standard errors of a 500-replicate MSE).  The published 0.0317
@@ -295,121 +217,45 @@ def test_criterion_5_two_center_alpha_mse_window(example2_summary):
     # bound.
     crb = float(np.mean(_two_center_crb()))
     lo, hi = 0.7 * crb, 1.3 * crb
-    window_ok = lo <= s["mse_alpha"] <= hi
-    ok = maximizer_ok and window_ok
-    report(
+    gate(
         "two-center recovery: center error vs Cramer-Rao bound",
-        ok,
         s["elapsed"],
         f"mse_alpha {s['mse_alpha']:.5f} vs [{lo:.5f}, {hi:.5f}], "
         f"ratio {s['mse_alpha'] / crb:.2f}; polish move {worst_move:.1e}, "
         f"log S gain {worst_gain:.1e}",
+        polish_converged=polish_converged,
+        move=worst_move <= 1e-4,
+        gain=worst_gain <= 1e-6,
+        window=lo <= s["mse_alpha"] <= hi,
     )
-    assert polish_converged
-    assert worst_move <= 1e-4
-    assert worst_gain <= 1e-6
-    assert lo <= s["mse_alpha"] <= hi
 
 
-def test_criterion_6_estimator_unbiasedness():
-    start = time.perf_counter()
-    n, m, sigma2 = 20, 3, 0.5
-    x = np.linspace(-1.0, 1.0, n)
-    ds = Dataset(inputs=x[:, None], outputs=np.zeros(n))
-    design = build_design_matrix(ds, BasisFamily("polynomial", m), [])
-    theta, reps, seed = np.array([1.0, -2.0, 0.5]), 10_000, SEED + 2
-    stats = resampling_estimator_stats(design, theta, sigma2, reps, seed=seed)
-    se_unb = math.sqrt(stats.sigma2_unbiased_var / stats.n_reps)
-    se_ml = math.sqrt(stats.sigma2_ml_var / stats.n_reps)
-    target_ml = (n - m) / n * sigma2
-    unb_ok = abs(stats.sigma2_unbiased_mean - sigma2) <= 3 * se_unb
-    ml_ok = abs(stats.sigma2_ml_mean - target_ml) <= 3 * se_ml
-    # the package's estimator on the oracle's own draws, regenerated from its seed
-    noise = np.random.default_rng(seed).normal(0.0, math.sqrt(sigma2), size=(reps, n))
-    ys = design.phi @ theta + noise
-    package_mean = float(np.mean([unbiased_noise_variance(y, design) for y in ys]))
-    package_gap = abs(package_mean / stats.sigma2_unbiased_mean - 1.0)
-    package_ok = package_gap <= 1e-12
-    # the flat posterior covariance sigma2 (Phi^T Phi)^{-1} against the sample
-    # covariance of the refitted coefficients, entry by entry, in standard errors
-    cov = flat_posterior_coefficients(design.phi @ theta, design, sigma2).cov
-    var = np.diag(cov)
-    se_cov = np.sqrt((np.outer(var, var) + cov**2) / (reps - 1))
-    cov_gap = float(np.max(np.abs(stats.theta_cov - cov) / se_cov))
-    cov_ok = cov_gap <= 4.0
-    elapsed = time.perf_counter() - start
-    ok = unb_ok and ml_ok and package_ok and cov_ok and elapsed < 60.0
-    report(
+def test_criterion_6_estimator_unbiasedness(verify_run):
+    c, elapsed = timed(_claims.estimator_unbiasedness, SEED + 2)
+    gate(
         "noise-variance estimator bias across resamples",
-        ok,
         elapsed,
-        f"unbiased {stats.sigma2_unbiased_mean:.4f}, ml {stats.sigma2_ml_mean:.4f}, "
-        f"package gap {package_gap:.1e}, "
-        f"cov gap {cov_gap:.2f} se",
+        f"unbiased {c['unbiased_mean']:.4f}, ml {c['ml_mean']:.4f}, "
+        f"package gap {c['package_gap']:.1e}, "
+        f"cov gap {c['cov_se_multiple']:.2f} se",
+        unb_ok=c["unbiased_se_multiple"] <= 3,
+        ml_ok=c["ml_se_multiple"] <= 3,
+        package_ok=c["package_gap"] <= 1e-12,
+        cov_ok=c["cov_se_multiple"] <= 4.0,
+        budget=elapsed < 60.0,
     )
-    assert unb_ok
-    assert ml_ok
-    assert package_ok
-    assert cov_ok
-    assert elapsed < 60.0
+    assert_verify_agrees(verify_run, _claims.estimator_unbiasedness, c)
 
 
-def test_criterion_7_algebraic_identities():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 3)
-    worst_route = worst_energy = worst_shift = worst_orth = 0.0
-    for _ in range(100):
-        y, design = poly_instance(rng, n_max=12, m_max=3)
-        m = design.m
-        sigma2 = float(rng.uniform(0.3, 2.0))
-        prior = isotropic_prior(m, float(rng.uniform(0.2, 5.0)), float(rng.normal()))
-
-        # posterior mean, twice: coefficient-space and data-space forms
-        shifted = y - design.phi @ prior.mean
-        a = design.gram + (sigma2 / prior.cov[0, 0]) * np.eye(m)
-        mean_mm = prior.mean + np.linalg.solve(a, design.phi.T @ shifted)
-        s_yy = output_covariance(design, sigma2, prior)
-        mean_nn = prior.mean + prior.cov @ design.phi.T @ np.linalg.solve(s_yy, shifted)
-        gap = linalg.norm(mean_mm - mean_nn) / max(linalg.norm(mean_mm), 1e-300)
-        worst_route = max(worst_route, gap)
-
-        # energy split of the flat-prior fit
-        theta_hat, _ = ml_estimate(y, design)
-        f_hat = design.phi @ theta_hat
-        resid = y - f_hat
-        scale = max(float(y @ y), 1.0)
-        energy_gap = abs(float(resid @ resid) - (float(y @ y) - float(f_hat @ f_hat)))
-        worst_energy = max(worst_energy, energy_gap / scale)
-
-        # averaging weights ignore a common offset
-        logs = rng.normal(scale=5.0, size=4)
-        scores = [ModelScore(str(i), float(v), "proper") for i, v in enumerate(logs)]
-        shifted_scores = [
-            ModelScore(str(i), float(v + 613.0), "proper") for i, v in enumerate(logs)
-        ]
-        shift_gap = float(
-            np.max(np.abs(bma_weights(scores) - bma_weights(shifted_scores)))
-        )
-        worst_shift = max(worst_shift, shift_gap)
-
-        # residual is orthogonal to every basis column
-        col_scale = float(np.max(np.linalg.norm(design.phi, axis=0)))
-        orth = float(np.max(np.abs(design.phi.T @ resid)))
-        worst_orth = max(worst_orth, orth / max(col_scale * linalg.norm(y), 1e-300))
-    elapsed = time.perf_counter() - start
-    ok = (
-        worst_route <= 1e-10
-        and worst_energy <= 1e-9
-        and worst_shift <= 1e-12
-        and worst_orth <= 1e-9
-    )
-    report(
+def test_criterion_7_algebraic_identities(verify_run):
+    c, elapsed = timed(_claims.algebraic_identities, SEED + 3)
+    gate(
         "posterior route, energy, weight-shift, orthogonality identities",
-        ok,
         elapsed,
-        f"route {worst_route:.1e}, energy {worst_energy:.1e}",
+        f"route {c['route_gap']:.1e}, energy {c['energy_gap']:.1e}",
+        route=c["route_gap"] <= 1e-10,
+        energy=c["energy_gap"] <= 1e-9,
+        shift=c["shift_gap"] <= 1e-12,
+        orth=c["orth_gap"] <= 1e-9,
     )
-    assert worst_route <= 1e-10
-    assert worst_energy <= 1e-9
-    assert worst_shift <= 1e-12
-    assert worst_orth <= 1e-9
+    assert_verify_agrees(verify_run, _claims.algebraic_identities, c)

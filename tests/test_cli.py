@@ -11,7 +11,17 @@ import pytest
 import scipy.optimize
 
 import linevidence
-from linevidence import DegenerateFitWarning, cli, improper_prior
+from linevidence import (
+    ConsistencyError,
+    DegenerateFitWarning,
+    EvidenceReport,
+    GaussianBelief,
+    _claims,
+    cli,
+    gaussian_prior,
+    improper_prior,
+    oracles,
+)
 from linevidence.cli import main
 
 
@@ -140,15 +150,32 @@ class TestExample2:
             assert options["fatol"] == options["xatol"] == 1e-6
 
 
+def verify_one(monkeypatch, tmp_path, claim):
+    """Exit code of verify on ``claim`` alone, and its checks' verdicts by measurement."""
+    monkeypatch.setattr(cli, "_CHECKS", [entry for entry in cli._CHECKS if entry[0] is claim])
+    code = main(["verify", "--out", str(tmp_path)])
+    checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+    return code, {c["name"].partition(".")[2]: c["passed"] for c in checks}
+
+
 class TestVerify:
-    def test_all_checks_pass(self, tmp_path):
-        assert main(["verify", "--out", str(tmp_path)]) == 0
-        report = json.loads((tmp_path / "verify_report.json").read_text())
+    # two full runs: the shared verify_run and one rerun; each planted fault
+    # runs verify on the one claim it targets
+
+    def test_all_checks_pass(self, verify_run):
+        code, path = verify_run
+        report = json.loads(path.read_text())
+        assert code == 0
         assert report["passed"] is True
-        names = [c["name"] for c in report["checks"]]
-        assert "quadrature_vs_closed_form_area" in names
-        assert "posterior_dual_route" in names
+        assert report["meta"]["seed"] == 20250811
+        claims = {claim.__name__ for claim, _, _ in cli._CHECKS}
+        assert {c["name"].partition(".")[0] for c in report["checks"]} == claims
         assert all(c["passed"] for c in report["checks"])
+
+    def test_rerun_is_identical(self, verify_run, tmp_path):
+        with pytest.warns(DegenerateFitWarning):
+            assert main(["verify", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "verify_report.json").read_bytes() == verify_run[1].read_bytes()
 
     def test_corrupted_noise_is_caught(self, tmp_path, monkeypatch):
         closed_form = improper_prior.log_area_under_likelihood
@@ -157,17 +184,41 @@ class TestVerify:
             return closed_form(y, design, 2.0 * sigma_e2)
 
         monkeypatch.setattr(improper_prior, "log_area_under_likelihood", doubled_noise)
-        assert main(["verify", "--out", str(tmp_path)]) == 1
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert report["passed"] is False
-        by_name = {c["name"]: c for c in report["checks"]}
-        assert not by_name["quadrature_vs_closed_form_area"]["passed"]
+        code, passed = verify_one(monkeypatch, tmp_path, _claims.area_vs_quadrature)
+        assert (code, passed) == (1, {"worst_rel_gap": False})
 
-    def test_rerun_is_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["verify", "--out", str(a), "--seed", "3"]) == 0
-        assert main(["verify", "--out", str(b), "--seed", "3"]) == 0
-        assert (a / "verify_report.json").read_bytes() == (b / "verify_report.json").read_bytes()
+    def test_shifted_evidence_is_caught(self, tmp_path, monkeypatch):
+        closed_form = gaussian_prior.log_marginal_likelihood
+
+        def shifted(*args):
+            z = closed_form(*args)
+            return EvidenceReport.from_terms(z.fitting_term - 1.0, z.penalty_term, z.constant_term)
+
+        monkeypatch.setattr(gaussian_prior, "log_marginal_likelihood", shifted)
+        code, passed = verify_one(monkeypatch, tmp_path, _claims.evidence_vs_monte_carlo)
+        assert (code, passed) == (1, {"worst_se_multiple": False})
+
+    def test_perturbed_posterior_mean_is_caught(self, tmp_path, monkeypatch):
+        posterior = gaussian_prior.posterior_coefficients
+
+        def perturbed(*args):
+            belief = posterior(*args)
+            return GaussianBelief(mean=belief.mean * (1.0 + 1e-8), cov=belief.cov)
+
+        monkeypatch.setattr(gaussian_prior, "posterior_coefficients", perturbed)
+        code, passed = verify_one(monkeypatch, tmp_path, _claims.algebraic_identities)
+        assert code == 1
+        assert passed == {"route_gap": False, "energy_gap": True, "shift_gap": True, "orth_gap": True}
+
+    def test_raising_claim_fails_its_checks(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ConsistencyError("planted")
+
+        monkeypatch.setattr(oracles, "quadrature_log_area", broken)
+        code, passed = verify_one(monkeypatch, tmp_path, _claims.area_vs_quadrature)
+        assert (code, passed) == (1, {"worst_rel_gap": False})
+        check = json.loads((tmp_path / "verify_report.json").read_text())["checks"][0]
+        assert check["measured"] == "ConsistencyError: planted"
 
 
 class TestUsageErrors:

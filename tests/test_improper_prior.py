@@ -28,7 +28,6 @@ from linevidence import (
     log_likelihood,
     predict_at,
     quadrature_log_area,
-    smooth,
     unbiased_noise_variance,
 )
 
@@ -139,38 +138,6 @@ class TestPredictAt:
             predict_at(0.0, BasisFamily("polynomial", 2), [], posterior)
 
 
-class TestSmooth:
-    def test_identity_design_reproduces_data(self):
-        y = np.array([1.0, -2.0, 0.5])
-        belief = smooth(y, identity_design(3), 1.0)
-        np.testing.assert_allclose(belief.mean, y, rtol=1e-14)
-
-    def test_ones_design_projects_to_zero_mean(self):
-        y = np.array([-2.0, 2.0])
-        belief = smooth(y, ones_design(2), 1.0)
-        np.testing.assert_allclose(belief.mean, [0.0, 0.0], atol=1e-15)
-        resid = y - belief.mean
-        assert float(resid @ resid) == pytest.approx(8.0, rel=1e-14)
-
-    def test_projection_idempotent(self):
-        rng = np.random.default_rng(5)
-        design = poly_design(9, 3)
-        y = rng.normal(size=9)
-        once = smooth(y, design, 1.0).mean
-        twice = smooth(once, design, 1.0).mean
-        np.testing.assert_allclose(twice, once, rtol=1e-10)
-
-    def test_denoising_inequality(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            n = int(rng.integers(3, 12))
-            m = int(rng.integers(1, min(n, 5)))
-            design = poly_design(n, m)
-            y = rng.normal(size=n) * float(rng.uniform(0.5, 4.0))
-            f_hat = smooth(y, design, 1.0).mean
-            assert float(y @ y) >= float(f_hat @ f_hat) - 1e-9 * max(float(y @ y), 1.0)
-
-
 class TestLogArea:
     def test_square_scalar_case_is_zero(self):
         ds = Dataset(inputs=[[0.0]], outputs=[3.7])
@@ -226,22 +193,5 @@ class TestUnbiasedNoiseVariance:
 
 
 class TestInternalIdentities:
-    def test_energy_identity_on_random_instances(self):
-        rng = np.random.default_rng(91)
-        for _ in range(25):
-            n = int(rng.integers(2, 14))
-            m = int(rng.integers(1, min(n, 5) + 1))
-            if m > n:
-                continue
-            design = poly_design(n, m) if m < n else identity_design(n)
-            y = rng.normal(size=n) * float(rng.uniform(0.1, 5.0))
-            belief = smooth(y, design, 1.0)
-            f_hat = belief.mean
-            rss = float((y - f_hat) @ (y - f_hat))
-            assert rss == pytest.approx(
-                float(y @ y) - float(f_hat @ f_hat),
-                abs=1e-9 * max(float(y @ y), 1.0),
-            )
-
     def test_consistency_error_is_exported(self):
         assert issubclass(ConsistencyError, Exception)

@@ -309,7 +309,7 @@ class TestChoSolve:
                 rng.standard_normal(m),
                 rng.standard_normal((m, 3)),
                 np.asfortranarray(rng.standard_normal((m, 3))),
-                phi.T,  # what improper_prior.smooth solves for
+                phi.T,  # a wide right-hand side, as a transposed view
                 np.eye(m),
             ):
                 x = _cho_solve(chol, rhs)

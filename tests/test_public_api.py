@@ -55,7 +55,6 @@ PUBLIC = [
     "quadrature_log_area",
     "resampling_estimator_stats",
     "sample_posterior",
-    "smooth",
     "unbiased_noise_variance",
 ]
 
