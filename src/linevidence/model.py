@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dgeqrf, dgesdd, dpotrf, dpotrs, dtrtri, dtrtrs
 
 from .exceptions import DimensionMismatch, LinEvidenceError, RankDeficient
 
@@ -248,14 +248,49 @@ def _tri_inverse(
     exactly zero diagonal entry raises ``error``, with ``what`` naming the
     factor.
     """
-    if not np.isfinite(factor).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(factor)
     inv, info = dtrtri(factor, lower=int(lower))
     if info > 0:
         raise error(f"{what} is singular (zero diagonal entry {info})")
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal trtri")
     return np.tril(inv) if lower else np.triu(inv)
+
+
+def _tri_solve(
+    factor: np.ndarray, rhs: np.ndarray, error: type[LinEvidenceError], what: str
+) -> np.ndarray:
+    """Solve ``U x = rhs`` for the upper triangle ``U`` of ``factor``; raises ``error``.
+
+    LAPACK ``dtrtrs`` is called directly: on an 8 x 8 factor it takes
+    ~0.8 us, and SciPy's triangular solve ~16 us.  As in that solve, a
+    non-finite ``factor`` or ``rhs`` raises ``ValueError`` with scipy's
+    message; an exactly zero diagonal entry raises ``error``, with ``what``
+    naming the factor, as :func:`_tri_inverse` does.
+    """
+    _check_finite(factor)
+    _check_finite(rhs)
+    x, info = dtrtrs(factor, rhs)
+    if info > 0:
+        raise error(f"{what} is singular (zero diagonal entry {info})")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal trtrs")
+    return x
+
+
+def _check_finite(array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _singular_values(matrix: np.ndarray) -> np.ndarray:
+    """NumPy's singular values of ``matrix`` (no vectors), by a direct LAPACK ``dgesdd`` call."""
+    _, singular, _, info = dgesdd(matrix, compute_uv=0)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
+    return singular
 
 
 def _log_det_from_factor(factor: np.ndarray):
@@ -270,14 +305,20 @@ def _log_det_from_factor(factor: np.ndarray):
 def _thin_qr(matrix: np.ndarray, mode: str = "reduced"):
     """``np.linalg.qr(matrix, mode)`` of a tall ``matrix``, mode "reduced" or "r".
 
-    A reduced QR of two or more whole blocks of 256 rows is a TSQR (Demmel,
+    Mode "r" is one direct LAPACK ``dgeqrf`` call, whose R is bitwise
+    NumPy's: ~9 us for a 16 x 9 matrix, against NumPy's ~14 us.  A
+    reduced QR of two or more whole blocks of 256 rows is a TSQR (Demmel,
     Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012) of LAPACK
     calls too small for OpenBLAS to thread (see gaussian_prior).
     """
     rows, cols = matrix.shape
+    if mode == "r":
+        # dgeqrf's info reports only an illegal argument, which this call
+        # cannot make; its Householder vectors fill the lower triangle
+        return np.triu(dgeqrf(matrix)[0][: min(rows, cols)])
     block = max(256, cols)
     whole = rows - rows % block
-    if whole <= block or mode == "r":
+    if whole <= block:
         return np.linalg.qr(matrix, mode)
     q_blocks, tops = np.linalg.qr(matrix[:whole].reshape(-1, block, cols))
     q_top, r = np.linalg.qr(np.vstack([tops.reshape(-1, cols), matrix[whole:]]))

@@ -396,12 +396,78 @@ class TestDiffuseLadder:
         assert all(b < a for a, b in zip(log_z, log_z[1:]))
 
     def test_matches_marginal_likelihood_rungs(self):
-        ladder = [0.5, 2.0, 50.0]
-        rungs = diffuse_limit_decomposition(self.y, self.design, 1.0, ladder, prior_mean=2.0)
+        # each rung is, bitwise, the log_marginal_likelihood report of its prior
+        design = poly_design(7, 3)
+        y = np.array([0.3, -1.2, 0.4, 2.0, -0.7, 1.1, 0.5])
+        rungs = diffuse_limit_decomposition(y, design, 0.8, [0.5, 2.0, 50.0], prior_mean=0.7)
         for rung in rungs:
-            prior = isotropic_prior(1, rung.sigma_p2, 2.0)
-            report = log_marginal_likelihood(self.y, self.design, 1.0, prior)
-            assert rung.log_z == pytest.approx(report.log_value, rel=1e-9)
+            prior = isotropic_prior(3, rung.sigma_p2, 0.7)
+            report = log_marginal_likelihood(y, design, 0.8, prior)
+            assert (rung.log_z, rung.part1, rung.part2) == (
+                report.log_value, report.fitting_term, report.penalty_term
+            )
+
+    @pytest.mark.parametrize("corrupt", ["beta", "cov", "log_det"])
+    def test_every_rung_checks_its_routes(self, monkeypatch, corrupt):
+        # the rungs share the data's products, not their checks: a route
+        # that disagrees on the middle rung alone still raises
+        original = gaussian_prior._cholesky_route
+        calls = []
+
+        def corrupted(*args):
+            beta, cov, log_det_a = original(*args)
+            calls.append(None)
+            if len(calls) != 2:
+                return beta, cov, log_det_a
+            if corrupt == "beta":
+                return beta + 1e-3 * (1.0 + np.abs(beta)), cov, log_det_a
+            if corrupt == "cov":
+                return beta, cov * (1.0 + 1e-3), log_det_a
+            return beta, cov, log_det_a + 1e-3
+
+        design = poly_design(6, 2)
+        y = np.array([0.3, -1.2, 0.4, 2.0, -0.7, 1.1])
+        monkeypatch.setattr(gaussian_prior, "_cholesky_route", corrupted)
+        with pytest.raises(ConsistencyError, match="routes disagree"):
+            diffuse_limit_decomposition(y, design, 0.8, [0.5, 2.0, 50.0], prior_mean=0.1)
+        assert len(calls) == 2
+
+    def test_each_rung_runs_a_checked_fit_on_one_design_qr(self, monkeypatch):
+        # K rungs: K prior-covariance checks and K route pairs, but one thin
+        # QR of the design, as test_entry_points_factor_the_design_once counts
+        counts = {"prior covariance": 0, "qr": 0, "cholesky": 0}
+        formed = []
+        checked, qr_route = gaussian_prior._checked_cholesky, gaussian_prior._qr_route
+        cholesky_route, thin_qr = gaussian_prior._cholesky_route, model._thin_qr
+
+        def counted_check(matrix, error, what):
+            counts[what] = counts.get(what, 0) + 1
+            return checked(matrix, error, what)
+
+        def counted_qr(*args):
+            counts["qr"] += 1
+            return qr_route(*args)
+
+        def counted_cholesky(*args):
+            counts["cholesky"] += 1
+            return cholesky_route(*args)
+
+        def counted_thin_qr(matrix, *args):
+            formed.append(matrix.shape)
+            return thin_qr(matrix, *args)
+
+        monkeypatch.setattr(gaussian_prior, "_checked_cholesky", counted_check)
+        monkeypatch.setattr(gaussian_prior, "_qr_route", counted_qr)
+        monkeypatch.setattr(gaussian_prior, "_cholesky_route", counted_cholesky)
+        monkeypatch.setattr(model, "_thin_qr", counted_thin_qr)
+        design = poly_design(40, 4)
+        y = np.sin(np.linspace(0.0, 3.0, 40))
+        ladder = np.logspace(-2, 6, 5)
+        diffuse_limit_decomposition(y, design, 0.3, ladder, prior_mean=0.2)
+        assert counts == {
+            "prior covariance": 5, "posterior precision": 5, "qr": 5, "cholesky": 5
+        }
+        assert formed == [(40, 4)]
 
     def test_gap_to_area_diverges(self):
         log_s = log_area_under_likelihood(self.y, self.design, 1.0).log_value

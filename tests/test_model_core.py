@@ -26,7 +26,15 @@ from linevidence import (
     unbiased_noise_variance,
 )
 from linevidence import model
-from linevidence.model import RANK_RTOL, _checked_cholesky, _cho_solve, _tri_inverse
+from linevidence.model import (
+    RANK_RTOL,
+    _checked_cholesky,
+    _cho_solve,
+    _singular_values,
+    _thin_qr,
+    _tri_inverse,
+    _tri_solve,
+)
 
 EPS = float(np.finfo(float).eps)
 
@@ -449,6 +457,64 @@ class TestTriInverse:
         with pytest.raises(ValueError) as excinfo:
             _tri_inverse(matrix, lower, SingularPrior, "prior covariance factor")
         assert str(excinfo.value) == str(expected.value)
+
+
+class TestTriSolve:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_solves_as_the_triangular_solve_does(self, m):
+        rng = np.random.default_rng(330 + m)
+        for _ in range(10):
+            matrix = random_triangular(rng, m, False)
+            rhs = rng.standard_normal(m)
+            x = _tri_solve(matrix, rhs, SingularPrior, "posterior precision QR factor")
+            expected = scipy.linalg.solve_triangular(matrix, rhs)
+            bound = 8.0 * m * EPS * np.linalg.cond(np.triu(matrix))
+            assert np.linalg.norm(x - expected) <= bound * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "error, what",
+        [(SingularPrior, "posterior precision QR factor"), (RankDeficient, "Gram factor")],
+    )
+    def test_zero_diagonal_entry(self, error, what):
+        rng = np.random.default_rng(340)
+        for k in range(4):
+            matrix = random_triangular(rng, 4, False)
+            matrix[k, k] = 0.0
+            with pytest.raises(error, match=f"^{what} is singular"):
+                _tri_solve(matrix, np.ones(4), error, what)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 1), (1, 2), "rhs"])
+    def test_nonfinite_input_rejected_as_scipy_does(self, bad, entry):
+        matrix = random_triangular(np.random.default_rng(350), 3, False)
+        rhs = np.ones(3)
+        if entry == "rhs":
+            rhs[1] = bad
+        else:
+            matrix[entry] = bad
+        with pytest.raises(ValueError) as expected:
+            scipy.linalg.solve_triangular(matrix, rhs)
+        with pytest.raises(ValueError) as excinfo:
+            _tri_solve(matrix, rhs, SingularPrior, "posterior precision QR factor")
+        assert str(excinfo.value) == str(expected.value)
+
+
+class TestSmallFactorKernels:
+    # the bordered matrix of a ridge fit is 2M x (M + 1)
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 12])
+    def test_r_mode_qr_is_numpys_bitwise(self, m):
+        rng = np.random.default_rng(360 + m)
+        for _ in range(5):
+            matrix = rng.standard_normal((2 * m, m + 1))
+            assert _thin_qr(matrix, "r").tobytes() == np.linalg.qr(matrix, "r").tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 12])
+    def test_singular_values_match_numpy(self, m):
+        rng = np.random.default_rng(370 + m)
+        for _ in range(5):
+            r = np.triu(rng.standard_normal((m, m))) + 3.0 * np.eye(m)
+            expected = np.linalg.svd(r, compute_uv=False)
+            np.testing.assert_allclose(_singular_values(r), expected, rtol=8 * m * EPS, atol=0)
 
 
 class TestLogLikelihood:
