@@ -15,12 +15,14 @@ import math
 import operator
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, _claims
+from .exceptions import DegenerateFitWarning
 from .model import (
     BasisFamily,
     Dataset,
@@ -246,13 +248,23 @@ _RELATIONS = {"<=": operator.le, "<": operator.lt, ">": operator.gt}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = []
+    checks, notes = [], []
     for claim, offset, bounds in _CHECKS:
         start = time.perf_counter()
-        try:
-            measured = claim() if offset is None else claim(args.seed + offset)
-        except Exception as exc:  # a claim that raises fails each of its checks
-            measured = dict.fromkeys(bounds, f"{type(exc).__name__}: {exc}")
+        # a degenerate fit a claim warns of is part of what it measures, so it
+        # goes into the report; any other warning surfaces as usual
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateFitWarning)
+            try:
+                measured = claim() if offset is None else claim(args.seed + offset)
+            except Exception as exc:  # a claim that raises fails each of its checks
+                measured = dict.fromkeys(bounds, f"{type(exc).__name__}: {exc}")
+        for w in caught:
+            if issubclass(w.category, DegenerateFitWarning):
+                category, message = w.category.__name__, str(w.message)
+                notes.append({"claim": claim.__name__, "category": category, "message": message})
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
         print(f"{claim.__name__}: {time.perf_counter() - start:.2f} s")
         for key, (relation, tolerance) in bounds.items():
             value = measured[key]
@@ -270,12 +282,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "meta": _meta("verify", args.seed),
         "passed": all_passed,
         "checks": checks,
+        "warnings": notes,
     }
     path = args.out / "verify_report.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status}  {check['name']}: {check['measured']} (tolerance {check['tolerance']})")
+    for note in notes:
+        print(f"NOTE  {note['claim']}: {note['category']}: {note['message']}")
     print(f"wrote {path}")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 

@@ -1,4 +1,5 @@
 """Shared test setup."""
+import json
 import warnings
 
 import pytest
@@ -22,8 +23,21 @@ except ImportError:  # no libcst; the plugin guards the same import
 @pytest.fixture(scope="session")
 def verify_run(tmp_path_factory):
     """Exit code and report path of one ``linevidence verify`` at its default
-    seed, shared by the acceptance gate and the CLI tests."""
+    seed, shared by the acceptance gate and the CLI tests.
+
+    Criterion 1's degenerate fit at c = 0 is recorded in the report, and no
+    ``DegenerateFitWarning`` escapes the run.
+    """
     out = tmp_path_factory.mktemp("verify")
-    with pytest.warns(DegenerateFitWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateFitWarning)
         code = main(["verify", "--out", str(out)])
-    return code, out / "verify_report.json"
+    path = out / "verify_report.json"
+    assert json.loads(path.read_text())["warnings"] == [
+        {
+            "claim": "noise_variance_table",
+            "category": "DegenerateFitWarning",
+            "message": "c=0: residual is zero, area maximizer pinned at the lower bound",
+        }
+    ]
+    return code, path

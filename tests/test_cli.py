@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,9 +174,23 @@ class TestVerify:
         assert all(c["passed"] for c in report["checks"])
 
     def test_rerun_is_identical(self, verify_run, tmp_path):
-        with pytest.warns(DegenerateFitWarning):
-            assert main(["verify", "--out", str(tmp_path)]) == 0
+        assert main(["verify", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "verify_report.json").read_bytes() == verify_run[1].read_bytes()
+
+    def test_degenerate_fits_are_recorded_and_other_warnings_surface(self, tmp_path, monkeypatch):
+        def warning_claim():
+            warnings.warn("c=0: expected", DegenerateFitWarning)
+            warnings.warn("unexpected", UserWarning)
+            return {"gap": 0.0}
+
+        monkeypatch.setattr(cli, "_CHECKS", [(warning_claim, None, {"gap": ("<=", 1.0)})])
+        with pytest.warns(UserWarning, match="unexpected") as record:
+            assert main(["verify", "--out", str(tmp_path)]) == 0
+        assert [w.category for w in record] == [UserWarning]
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["warnings"] == [
+            {"claim": "warning_claim", "category": "DegenerateFitWarning", "message": "c=0: expected"}
+        ]
 
     def test_corrupted_noise_is_caught(self, tmp_path, monkeypatch):
         closed_form = improper_prior.log_area_under_likelihood

@@ -164,6 +164,19 @@ def test_entry_points_factor_the_design_once(monkeypatch):
     assert formed == [(600, 8)]
 
 
+@pytest.mark.parametrize(
+    "shape, transposed",
+    [((2000,), False), ((8,), False), ((8, 8), False), ((8, 8), True), ((9, 5), True)],
+)
+def test_norm_is_numpys_bitwise(shape, transposed):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    for _ in range(20):
+        v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150.0, 150.0)
+        v = v.T if transposed else v
+        assert v.flags.c_contiguous != transposed
+        assert gaussian_prior._norm(v) == np.linalg.norm(v)
+
+
 class TestRouteCheck:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("corrupt", ["beta", "cov", "log_det"])
@@ -274,6 +287,74 @@ class TestPredictAt:
             predict_at(
                 0.2, BasisFamily("polynomial", 2), [], posterior,
                 **{name: available[name] for name in given},
+            )
+
+    @pytest.mark.parametrize("case", ["zero_mean", "isotropic_mean", "full_prior"])
+    def test_recheck_covariance_is_the_fit_at_the_prior_mean(self, monkeypatch, case):
+        rng = np.random.default_rng(19)
+        x = np.linspace(0.0, 10.0, 300)
+        family, centers = BasisFamily("gaussian-rbf", 6), np.linspace(1.0, 9.0, 6)
+        ds = Dataset(inputs=x[:, None], outputs=np.sin(x))
+        design = build_design_matrix(ds, family, centers)
+        if case == "full_prior":
+            root = rng.standard_normal((6, 6))
+            prior = GaussianBelief(mean=rng.normal(size=6), cov=root @ root.T + 0.5 * np.eye(6))
+        else:
+            prior = isotropic_prior(6, 1.5, 0.0 if case == "zero_mean" else 0.7)
+        posterior = posterior_coefficients(ds.outputs, design, 0.09, prior)
+        expected = gaussian_prior._ridge_fit(design.phi @ prior.mean, design, 0.09, prior)
+        fits = []
+        original = gaussian_prior._covariance_fit
+
+        def recorded(*args):
+            fits.append(original(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(gaussian_prior, "_covariance_fit", recorded)
+        predict_at(4.2, family, centers, posterior, design=design, sigma_e2=0.09, prior=prior)
+        [fit] = fits
+        assert fit.cov.tobytes() == expected.cov.tobytes()
+        assert fit.cond == expected.cond
+
+    def test_recheck_forms_no_data_products(self, monkeypatch):
+        calls = []
+        original = gaussian_prior._shift
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gaussian_prior, "_shift", counted)
+        design = poly_design(6, 2)
+        prior = isotropic_prior(2, 2.0, 0.1)
+        posterior = posterior_coefficients(np.linspace(-1.0, 1.0, 6), design, 0.8, prior)
+        assert len(calls) == 1
+        predict_at(
+            0.2, BasisFamily("polynomial", 2), [], posterior,
+            design=design, sigma_e2=0.8, prior=prior,
+        )
+        assert len(calls) == 1
+
+    def test_recheck_rejects_a_perturbed_posterior(self):
+        design = poly_design(6, 2)
+        prior = isotropic_prior(2, 2.0, 0.1)
+        posterior = posterior_coefficients(np.linspace(-1.0, 1.0, 6), design, 0.8, prior)
+        perturbed = GaussianBelief(mean=posterior.mean, cov=posterior.cov * (1.0 + 1e-6))
+        with pytest.raises(ConsistencyError, match="predictive variance"):
+            predict_at(
+                0.2, BasisFamily("polynomial", 2), [], perturbed,
+                design=design, sigma_e2=0.8, prior=prior,
+            )
+
+    @pytest.mark.parametrize("sigma_e2", [0.0, -0.8, math.nan, math.inf])
+    def test_recheck_rejects_bad_noise_variance(self, sigma_e2):
+        design = poly_design(6, 2)
+        prior = isotropic_prior(2, 2.0)
+        posterior = posterior_coefficients(np.zeros(6), design, 0.8, prior)
+        with pytest.raises(ValueError, match="sigma_e2 must be a positive finite number"):
+            predict_at(
+                0.2, BasisFamily("polynomial", 2), [], posterior,
+                design=design, sigma_e2=sigma_e2, prior=prior,
             )
 
     def test_matches_sampling_oracle(self):

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg.lapack import dtrtri
 
 from linevidence import (
     BasisFamily,
@@ -428,10 +429,23 @@ class TestTriInverse:
             tri = np.tril(matrix) if lower else np.triu(matrix)
             inv = _tri_inverse(matrix, lower, SingularPrior, "prior covariance factor")
             bound = 8.0 * m * EPS * np.linalg.cond(tri)
-            assert np.array_equal(inv, np.tril(inv) if lower else np.triu(inv))
+            # bitwise, and in the same layout, numpy's zeroing of dtrtri's output
+            raw = dtrtri(matrix, lower=int(lower))[0]
+            expected = np.tril(raw) if lower else np.triu(raw)
+            assert inv.tobytes() == expected.tobytes()
+            assert inv.strides == expected.strides
             assert np.linalg.norm(tri @ inv - np.eye(m), 2) <= bound
             expected = scipy.linalg.solve_triangular(matrix, np.eye(m), lower=lower)
             assert np.linalg.norm(inv - expected, 2) <= bound * np.linalg.norm(expected, 2)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_triangle_masks_are_shared_and_read_only(self, lower):
+        mask = model._triangle_mask(5, 4, lower)
+        assert model._triangle_mask(5, 4, lower) is mask
+        expected = np.tri(5, 4, dtype=bool) if lower else np.triu(np.ones((5, 4), dtype=bool))
+        assert np.array_equal(mask, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = False
 
     @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize(
