@@ -11,13 +11,11 @@ call time, so a fault planted in a module is what the claims measure.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy import linalg
 
 from . import gaussian_prior, improper_prior, oracles
-from .exceptions import DegenerateFitWarning
 from .model import BasisFamily, Dataset, HyperParams, build_design_matrix, ml_estimate
 from .selection import ModelScore, OptimizerConfig, bma_weights, empirical_bayes_optimize
 
@@ -40,8 +38,9 @@ def noise_variance_table() -> dict:
 
     The residual sum of squares is ``2 c^2``, so the divisor N = 2 gives
     ``c^2`` and the maximizer of S, the divisor N - M = 1, gives ``2 c^2``;
-    ``ml_gap`` and ``area_gap`` are the worst distances from them.  At c = 0
-    the residual is zero and a :class:`DegenerateFitWarning` is issued.
+    ``ml_gap`` and ``area_gap`` are the worst distances from them.
+    ``zero_residual_spans`` lists each c whose residual is zero (c = 0): there
+    S has no interior maximum, so its maximizer is the search's lower bound.
     """
     family = BasisFamily("constant", 1)
     search = OptimizerConfig(
@@ -49,7 +48,7 @@ def noise_variance_table() -> dict:
         grid_points=201,
         tolerance=1e-3,
     )
-    sigma2_ml, sigma2_area = [], []
+    sigma2_ml, sigma2_area, zero_residual_spans = [], [], []
     for c in TABLE2_HALF_SPANS:
         y = np.array([-float(c), float(c)])
         dataset = Dataset(inputs=[[-1.0], [1.0]], outputs=y)
@@ -58,11 +57,7 @@ def noise_variance_table() -> dict:
         fixed = HyperParams(alpha=[], sigma_e2=1.0)
         best, _, _ = empirical_bayes_optimize(dataset, family, "log_area", search, fixed)
         if improper_prior._zero_residual(y, ml * design.n):
-            warnings.warn(
-                f"c={c}: residual is zero, area maximizer pinned at the lower bound",
-                DegenerateFitWarning,
-                stacklevel=2,
-            )
+            zero_residual_spans.append(c)
         sigma2_ml.append(float(ml))
         sigma2_area.append(float(best.sigma_e2))
     return {
@@ -70,6 +65,7 @@ def noise_variance_table() -> dict:
         "sigma2_area": sigma2_area,
         "ml_gap": max(abs(v - c * c) for v, c in zip(sigma2_ml, TABLE2_HALF_SPANS)),
         "area_gap": max(abs(v - 2 * c * c) for v, c in zip(sigma2_area, TABLE2_HALF_SPANS)),
+        "zero_residual_spans": zero_residual_spans,
     }
 
 

@@ -218,8 +218,7 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     non-finite ``rhs`` raises ``ValueError`` with scipy's message.  The
     factors are not checked: ``_checked_cholesky`` returns only finite ones.
     """
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(rhs)
     if chol.ndim == 3:
         x = np.empty(rhs.shape)
         for k in range(len(chol)):

@@ -122,23 +122,21 @@ class OptimizerConfig:
         for lo_name, hi_name in self.ordering:
             if lo_name not in self.bounds or hi_name not in self.bounds:
                 raise ValueError("ordering names must appear in bounds")
-            if _slot(lo_name) == _slot(hi_name):
+            if lo_name == hi_name:
                 raise ValueError(f"ordering pair {(lo_name, hi_name)} names one slot twice")
-        slots = [_slot(name) for name in self.bounds]
-        for k, name in enumerate(self.bounds):
-            if slots[k] in slots[:k]:
-                raise ValueError(f"{name!r} sets a parameter that an earlier name already set")
 
 
 def _slot(name: str) -> int:
     """Where ``name`` sits in a merged point: sigma_e2 at -1, alpha i at i.
 
-    ``alpha1`` and ``alpha01`` name one slot.
+    Each slot has one name: ``alpha<i>`` with ``i`` written without a leading
+    zero, so ``alpha01`` is not a name.
     """
     if name == "sigma_e2":
         return -1
-    if name.startswith("alpha") and name[5:].isdigit():
-        return int(name[5:])
+    index = name.removeprefix("alpha")
+    if index.isdecimal() and name == f"alpha{int(index)}":
+        return int(index)
     raise ValueError(f"unrecognized parameter name {name!r}; use alpha<i> or sigma_e2")
 
 

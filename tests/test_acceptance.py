@@ -7,7 +7,8 @@ slow environment fails loudly rather than silently degrading.
 
 Every criterion but 5 is measured by a function of ``linevidence._claims``,
 which ``linevidence verify`` runs too; each such test also asserts that the
-verify report of the default seed holds bitwise the measurements it got.
+verify report of the default seed holds bitwise the measurements it got, and
+the last test pins the checks of verify to these gates.
 """
 import json
 import math
@@ -18,7 +19,7 @@ import pytest
 from scipy import linalg
 from scipy.optimize import minimize
 
-from linevidence import DegenerateFitWarning, _claims
+from linevidence import _claims, cli
 from linevidence.cli import (
     _EX2_ALPHA,
     _EX2_SIGMA2,
@@ -57,8 +58,7 @@ def assert_verify_agrees(verify_run, claim, measured):
 
 
 def test_criterion_1_noise_variance_table(verify_run):
-    with pytest.warns(DegenerateFitWarning):
-        table, elapsed = timed(_claims.noise_variance_table)
+    table, elapsed = timed(_claims.noise_variance_table)
     got_ml, got_area = table["sigma2_ml"], table["sigma2_area"]
     gate(
         "divisor N vs N-M noise-variance table",
@@ -66,6 +66,7 @@ def test_criterion_1_noise_variance_table(verify_run):
         ml=got_ml == [0.0, 1.0, 4.0, 9.0],
         area=abs(got_area[0]) <= 1e-2
         and all(abs(g - want) <= 1e-2 for g, want in zip(got_area[1:], (2.0, 8.0, 18.0))),
+        pinned_at_c0=table["zero_residual_spans"] == [0],
         budget=elapsed < 1.0,
     )
     assert_verify_agrees(verify_run, _claims.noise_variance_table, table)
@@ -259,3 +260,28 @@ def test_criterion_7_algebraic_identities(verify_run):
         orth=c["orth_gap"] <= 1e-9,
     )
     assert_verify_agrees(verify_run, _claims.algebraic_identities, c)
+
+
+def test_verify_checks_the_gate_above():
+    """``linevidence verify`` runs the claims above at their seed offsets from
+    SEED, with the tolerances of their gates."""
+    assert cli._CHECKS == (
+        (_claims.noise_variance_table, None, {
+            "ml_gap": ("<=", 0.0), "area_gap": ("<=", 1e-2), "zero_residual_spans": ("==", [0]),
+        }),
+        (_claims.area_vs_quadrature, 0, {"worst_rel_gap": ("<=", 1e-6)}),
+        (_claims.evidence_vs_monte_carlo, 1, {"worst_se_multiple": ("<=", 3.0)}),
+        (_claims.diffuse_prior_asymptotics, None, {
+            "log_z_not_falling": ("<=", 0), "log_s_margin": (">", 10.0), "part1_gap": ("<=", 1e-4),
+            "part2_not_growing": ("<=", 0), "inversion_gap": ("<=", 1e-3),
+            "bound_rel_gap": ("<=", 1e-12), "gap_step": ("<", 1e-3),
+        }),
+        (_claims.estimator_unbiasedness, 2, {
+            "unbiased_se_multiple": ("<=", 3.0), "ml_se_multiple": ("<=", 3.0),
+            "package_gap": ("<=", 1e-12), "cov_se_multiple": ("<=", 4.0),
+        }),
+        (_claims.algebraic_identities, 3, {
+            "route_gap": ("<=", 1e-10), "energy_gap": ("<=", 1e-9),
+            "shift_gap": ("<=", 1e-12), "orth_gap": ("<=", 1e-9),
+        }),
+    )

@@ -160,18 +160,23 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
 
-    @pytest.mark.parametrize("pair", [("alpha0", "alpha0"), ("alpha1", "alpha01")])
-    def test_ordering_pair_naming_one_slot_rejected(self, pair):
-        # such a pair can never hold, so a search would build its grid and
-        # then raise EmptyFeasibleGrid
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            # such a pair can never hold, so a search would build its grid
+            # and then raise EmptyFeasibleGrid
+            pytest.param(("alpha0", "alpha0"), "names one slot twice", id="pair0"),
+            pytest.param(("alpha1", "alpha01"), "unrecognized parameter name 'alpha01'", id="pair1"),
+        ],
+    )
+    def test_ordering_pair_naming_one_slot_rejected(self, pair, message):
         bounds = {name: (0.0, 1.0) for name in pair}
-        with pytest.raises(ValueError, match="names one slot twice"):
+        with pytest.raises(ValueError, match=message):
             OptimizerConfig(bounds=bounds, ordering=(pair,))
 
     def test_bounds_naming_one_slot_twice_rejected(self):
-        # alpha1 and alpha01 name one slot, so every search would raise from
-        # its sweep; the config rejects them at construction, as the sweep does
-        with pytest.raises(ValueError, match="^'alpha01' sets a parameter that an earlier name"):
+        # each slot has one name, so a mapping of names cannot set it twice
+        with pytest.raises(ValueError, match="^unrecognized parameter name 'alpha01'"):
             OptimizerConfig(bounds={"alpha1": (0.0, 1.0), "alpha01": (0.0, 2.0)})
 
 
@@ -196,37 +201,44 @@ class TestSweepChecks:
     FAMILY = BasisFamily("gaussian-rbf", 2, width=1.0)
     FIXED = HyperParams(alpha=[0.0, 0.0], sigma_e2=0.5)
 
-    @pytest.mark.parametrize("sweep", [_optimize, _profile, _hyper_posterior])
+    CASES = [
+        pytest.param(
+            ["alpha0"], HyperParams(alpha=[0.0], sigma_e2=0.5),
+            DimensionMismatch, "fixed alpha has length 1, family expects 2",
+            id="fixed-alpha-length",
+        ),
+        pytest.param(
+            ["alpha0", "sigma_p2"], FIXED,
+            ValueError, "unrecognized parameter name 'sigma_p2'",
+            id="unknown-name",
+        ),
+        pytest.param(
+            ["alpha1", "alpha1"], FIXED, ValueError, "already set", id="slot-set-twice"
+        ),
+        pytest.param(
+            ["alpha2"], FIXED, DimensionMismatch, "'alpha2' is out of range",
+            id="alpha-out-of-range",
+        ),
+        pytest.param(
+            ["alpha0", "sigma_e2"], None,
+            ValueError, r"parameters \['alpha1'\] are neither fixed nor free",
+            id="alpha-neither-fixed-nor-free",
+        ),
+        pytest.param(
+            ["alpha0", "alpha1"], None,
+            ValueError, "sigma_e2 must be supplied either fixed or free",
+            id="no-sigma_e2",
+        ),
+    ]
+
     @pytest.mark.parametrize(
-        "names, fixed, error, message",
+        "sweep, names, fixed, error, message",
         [
-            pytest.param(
-                ["alpha0"], HyperParams(alpha=[0.0], sigma_e2=0.5),
-                DimensionMismatch, "fixed alpha has length 1, family expects 2",
-                id="fixed-alpha-length",
-            ),
-            pytest.param(
-                ["alpha0", "sigma_p2"], FIXED,
-                ValueError, "unrecognized parameter name 'sigma_p2'",
-                id="unknown-name",
-            ),
-            pytest.param(
-                ["alpha1", "alpha01"], FIXED, ValueError, "already set", id="slot-set-twice"
-            ),
-            pytest.param(
-                ["alpha2"], FIXED, DimensionMismatch, "'alpha2' is out of range",
-                id="alpha-out-of-range",
-            ),
-            pytest.param(
-                ["alpha0", "sigma_e2"], None,
-                ValueError, r"parameters \['alpha1'\] are neither fixed nor free",
-                id="alpha-neither-fixed-nor-free",
-            ),
-            pytest.param(
-                ["alpha0", "alpha1"], None,
-                ValueError, "sigma_e2 must be supplied either fixed or free",
-                id="no-sigma_e2",
-            ),
+            pytest.param(sweep, *case.values, id=f"{case.id}-{sweep.__name__}")
+            for case in CASES
+            for sweep in (_optimize, _profile, _hyper_posterior)
+            # a search's bounds map names to boxes, so it cannot name a slot twice
+            if (case.id, sweep) != ("slot-set-twice", _optimize)
         ],
     )
     def test_rejected_before_any_point(self, monkeypatch, sweep, names, fixed, error, message):
