@@ -30,7 +30,6 @@ from .model import (
     GaussianBelief,
     HyperParams,
     build_design_matrix,
-    feature_vector,
     log_likelihood,
     ml_estimate,
 )
@@ -65,7 +64,6 @@ from .full_bayes import (
     sample_posterior,
 )
 from .oracles import (
-    QuadratureSpec,
     ResamplingStats,
     monte_carlo_log_marginal,
     output_covariance,
@@ -98,7 +96,6 @@ __all__ = [
     "NonFiniteMassWarning",
     "OptimizerConfig",
     "ProfileResult",
-    "QuadratureSpec",
     "RankDeficient",
     "ResamplingStats",
     "SingularPrior",
@@ -108,7 +105,6 @@ __all__ = [
     "build_hyper_posterior",
     "diffuse_limit_decomposition",
     "empirical_bayes_optimize",
-    "feature_vector",
     "flat_posterior_coefficients",
     "isotropic_prior",
     "log_area_under_likelihood",

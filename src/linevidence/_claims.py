@@ -77,7 +77,7 @@ def area_vs_quadrature(seed: int) -> dict:
         y, design = _poly_instance(rng, n_max=10, m_max=2)
         sigma2 = float(rng.uniform(0.3, 2.5))
         closed = improper_prior.log_area_under_likelihood(y, design, sigma2).log_value
-        approx = oracles.quadrature_log_area(y, design, sigma2, oracles.QuadratureSpec())
+        approx = oracles.quadrature_log_area(y, design, sigma2)
         worst = max(worst, abs(closed - approx) / max(abs(closed), abs(approx), 1.0))
     return {"worst_rel_gap": worst}
 

@@ -59,10 +59,6 @@ def _fmt_cell(value) -> str:
 
 
 def _write_table(path: Path, meta: dict, columns: list[str], rows: list[list]) -> None:
-    if path.suffix == ".json":
-        payload = {"meta": meta, "columns": columns, "rows": rows}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        return
     with path.open("w", newline="") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}: {value}\n")
@@ -82,10 +78,6 @@ def _meta(experiment: str, seed: int | None = None, **extra) -> dict:
     return meta
 
 
-def _out_path(args: argparse.Namespace, stem: str) -> Path:
-    return args.out / f"{stem}.{args.fmt}"
-
-
 def cmd_table2(args: argparse.Namespace) -> int:
     """Biased ML noise variance vs the likelihood-area maximizer on +-c data."""
     table = _claims.noise_variance_table()
@@ -95,7 +87,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
             _claims.TABLE2_HALF_SPANS, table["sigma2_ml"], table["sigma2_area"]
         )
     ]
-    path = _out_path(args, "table2")
+    path = args.out / "table2.csv"
     _write_table(path, _meta("table2"), ["c", "sigma2_ml", "sigma2_area"], rows)
     print("c  sigma2_ml  sigma2_area")
     for c, ml, area in rows:
@@ -123,7 +115,7 @@ def cmd_asymptote(args: argparse.Namespace) -> int:
                 p1.log_z - p2.log_z,
             ]
         )
-    path = _out_path(args, "asymptote")
+    path = args.out / "asymptote.csv"
     columns = [
         "sigma_p",
         "sigma_p2",
@@ -198,14 +190,14 @@ def run_example2(runs: int, seed: int, jobs: int = 1) -> dict:
 def cmd_example2(args: argparse.Namespace) -> int:
     summary = run_example2(args.runs, args.seed, args.jobs)
     rep_rows = [list(row) for row in summary.pop("replicates")]
-    rep_path = _out_path(args, "example2_replicates")
+    rep_path = args.out / "example2_replicates.csv"
     _write_table(
         rep_path,
         _meta("example2", args.seed, runs=args.runs),
         ["rep", "alpha1_hat", "alpha2_hat", "theta1_hat", "theta2_hat"],
         rep_rows,
     )
-    sum_path = _out_path(args, "example2_summary")
+    sum_path = args.out / "example2_summary.csv"
     sum_columns = list(summary.keys())
     _write_table(
         sum_path,
@@ -288,10 +280,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=Path, default=".", help="output directory (default: current)")
-    common.add_argument(
-        "--format", dest="fmt", choices=("csv", "json"), default="csv",
-        help="output file format",
-    )
     p_t2 = sub.add_parser("table2", parents=[common], help="noise-variance estimator table")
     p_t2.set_defaults(run=cmd_table2)
     p_asy = sub.add_parser("asymptote", parents=[common], help="diffuse-prior evidence ladder")

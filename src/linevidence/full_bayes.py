@@ -28,6 +28,7 @@ from .model import (
     HyperParams,
     _check_theta,
     _checked_cholesky,
+    _is_count,
     _log_likelihood_at,
     _stacked_energy,
 )
@@ -134,7 +135,7 @@ def sample_posterior(
     posterior covariance, so given a seed the output is fully deterministic.
     """
     for count in (n_outer, n_inner):
-        if not isinstance(count, (int, np.integer)) or count < 1:
+        if not _is_count(count) or count < 1:
             raise ValueError("n_outer and n_inner must be integers of at least 1")
     rng = np.random.default_rng(seed)
     idx = rng.choice(grid.size, size=n_outer, p=grid.probs)

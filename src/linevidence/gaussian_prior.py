@@ -74,6 +74,8 @@ from .model import (
     BasisFamily,
     DesignMatrix,
     GaussianBelief,
+    _basis_matrix,
+    _check_alpha,
     _check_noise_var,
     _check_outputs,
     _checked_cholesky,
@@ -83,7 +85,6 @@ from .model import (
     _thin_qr,
     _tri_inverse,
     _tri_solve,
-    feature_vector,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -283,9 +284,13 @@ def predict_at(
 ) -> tuple[float, float]:
     """Predictive mean and variance of f(x) = phi(x)^T theta under ``posterior``.
 
-    ``posterior`` may come from either prior: the Gaussian-prior
+    ``x`` is one point, a scalar or a length-d vector.  ``posterior`` may
+    come from either prior: the Gaussian-prior
     :func:`posterior_coefficients` or the flat-prior one.  The variance is
     phi(x)^T Sigma phi(x), with tiny negative round-off clamped to zero.
+    Unlike :func:`build_design_matrix`, the row phi(x) is not checked: an
+    overflowing exponential-abs value comes back as inf, with numpy's
+    overflow ``RuntimeWarning``.
     When ``design``, ``sigma_e2`` and ``prior`` are supplied, the posterior
     covariance is additionally recomputed from them by both routes of the
     module (the QR route and the M x M Cholesky of the posterior
@@ -297,7 +302,11 @@ def predict_at(
     supplied = sum(arg is not None for arg in (design, sigma_e2, prior))
     if supplied not in (0, 3):
         raise ValueError("design, sigma_e2 and prior must be given together or not at all")
-    row = feature_vector(family, alpha, x)
+    alpha = _check_alpha(family, alpha)
+    point = np.atleast_1d(np.asarray(x, dtype=float))
+    if point.ndim != 1:
+        raise DimensionMismatch("x must be a scalar or 1-D point")
+    row = _basis_matrix(family, alpha, point[None, :])[0]
     if row.size != posterior.dim:
         raise DimensionMismatch(
             f"basis row has length {row.size} but posterior is {posterior.dim}-dimensional"

@@ -76,19 +76,15 @@ class _FlatFit(NamedTuple):
     design: DesignMatrix
     theta_hat: np.ndarray
     rss: float
-    log_det_gram: float
-    inv_gram: np.ndarray | None
 
 
-def _flat_fit(y: np.ndarray, design: DesignMatrix, posterior: bool = False) -> _FlatFit:
-    """Fit checked outputs ``y`` once; ``(Phi^T Phi)^{-1}`` only for a posterior.
+def _flat_fit(y: np.ndarray, design: DesignMatrix) -> _FlatFit:
+    """Fit checked outputs ``y`` once.
 
     Every sigma_e2 then costs only :func:`_area_report` or
-    :func:`_flat_posterior` arithmetic.
+    :func:`_flat_posterior` arithmetic, on the factors the design keeps.
     """
-    theta_hat, rss = _residual_sum_of_squares(y, design)
-    inv_gram = design.inv_gram() if posterior else None
-    return _FlatFit(design, theta_hat, rss, design.log_det_gram, inv_gram)
+    return _FlatFit(design, *_residual_sum_of_squares(y, design))
 
 
 def _area_terms(rss, log_det_gram, dof: int, sigma_e2):
@@ -104,7 +100,7 @@ def _area_report(fit: _FlatFit, sigma_e2: float) -> EvidenceReport:
     """log S of a fit at one checked sigma_e2."""
     design = fit.design
     fitting, penalty, constant = _area_terms(
-        fit.rss, fit.log_det_gram, design.n - design.m, sigma_e2
+        fit.rss, design.log_det_gram, design.n - design.m, sigma_e2
     )
     return EvidenceReport.from_terms(fitting, penalty, float(constant))
 
@@ -124,16 +120,16 @@ def _log_area_values(rss: np.ndarray, log_det_gram: np.ndarray, dof: int, sigma_
 
 
 def _flat_posterior(fit: _FlatFit, sigma_e2: float) -> GaussianBelief:
-    """Posterior of a fit made with ``posterior=True``, at one checked sigma_e2."""
+    """Posterior of a fit at one checked sigma_e2."""
     # each belief owns its mean, as if it had been fitted alone
-    return GaussianBelief(mean=fit.theta_hat.copy(), cov=sigma_e2 * fit.inv_gram)
+    return GaussianBelief(mean=fit.theta_hat.copy(), cov=sigma_e2 * fit.design.inv_gram)
 
 
 def posterior_coefficients(y, design: DesignMatrix, sigma_e2: float) -> GaussianBelief:
     """Flat-prior posterior over theta: N(theta_hat, sigma_e2 (Phi^T Phi)^{-1})."""
     y = _check_outputs(y, design)
     _check_noise_var(sigma_e2)
-    return _flat_posterior(_flat_fit(y, design, posterior=True), sigma_e2)
+    return _flat_posterior(_flat_fit(y, design), sigma_e2)
 
 
 def log_area_under_likelihood(y, design: DesignMatrix, sigma_e2: float) -> EvidenceReport:

@@ -28,6 +28,11 @@ _SYMMETRY_RTOL = 1e-10
 BASIS_KINDS = ("constant", "polynomial", "gaussian-rbf", "exponential-abs")
 
 
+def _is_count(value) -> bool:
+    """True for a Python or NumPy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_float_array(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.size and not np.isfinite(arr).all():
@@ -95,7 +100,7 @@ class BasisFamily:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
-        if not isinstance(self.size, (int, np.integer)) or self.size < 1:
+        if not _is_count(self.size) or self.size < 1:
             raise ValueError("basis size must be a positive integer")
         if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError("width must be a positive finite number")
@@ -352,7 +357,8 @@ class DesignMatrix:
 
     Built through :func:`build_design_matrix`; construction fails with
     :class:`RankDeficient` unless ``phi`` has full column rank (which
-    requires M <= N).
+    requires M <= N).  The sigma_e2-free factors of a fit, ``log_det_gram``,
+    ``inv_gram`` and ``qr``, are formed on first use and kept.
     """
 
     phi: np.ndarray
@@ -367,18 +373,18 @@ class DesignMatrix:
     def m(self) -> int:
         return self.phi.shape[1]
 
-    @property
+    @cached_property
     def log_det_gram(self) -> float:
-        # log det from the factor diagonal; stable for large N and M
+        """``log det(Phi^T Phi)`` from the factor diagonal; stable for large N and M."""
         return _log_det_from_factor(self.chol)
 
-    def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``gram @ x = rhs`` using the cached Cholesky factor."""
-        return _cho_solve(self.chol, rhs)
-
+    @cached_property
     def inv_gram(self) -> np.ndarray:
+        """``(Phi^T Phi)^{-1}``, symmetrized; formed on first use and kept, read-only."""
         inv = _cho_solve(self.chol, np.eye(self.m))
-        return 0.5 * (inv + inv.T)
+        inv = 0.5 * (inv + inv.T)
+        inv.flags.writeable = False
+        return inv
 
     @cached_property
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -420,21 +426,6 @@ def _basis_matrix(family: BasisFamily, alpha: np.ndarray, x: np.ndarray) -> np.n
     if family.kind == "gaussian-rbf":
         return np.exp(-0.5 * (diff / family.width) ** 2)
     return np.exp(np.abs(diff))
-
-
-def feature_vector(family: BasisFamily, alpha, x) -> np.ndarray:
-    """Basis row phi(x) for a single input point.
-
-    ``x`` may be a scalar or a length-d vector; returns a length-M array.
-    Unlike :func:`build_design_matrix`, it does not check the row: an
-    overflowing exponential-abs value comes back as inf, with numpy's
-    overflow ``RuntimeWarning``.
-    """
-    alpha = _check_alpha(family, alpha)
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.ndim != 1:
-        raise DimensionMismatch("x must be a scalar or 1-D point")
-    return _basis_matrix(family, alpha, pt[None, :])[0]
 
 
 def _check_alpha(family: BasisFamily, alpha) -> np.ndarray:
@@ -585,7 +576,7 @@ def ml_estimate(y, design: DesignMatrix) -> tuple[np.ndarray, float]:
 
 
 def _residual_sum_of_squares(y: np.ndarray, design: DesignMatrix) -> tuple[np.ndarray, float]:
-    theta_hat = design.solve_gram(design.phi.T @ y)
+    theta_hat = _cho_solve(design.chol, design.phi.T @ y)
     resid = y - design.phi @ theta_hat
     # direct sum of squares: nonnegative by construction, no cancellation
     return theta_hat, float(resid @ resid)

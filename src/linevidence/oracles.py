@@ -8,6 +8,7 @@ the cached Gram factorizations and solve their small systems with plain
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,18 +21,8 @@ from .model import DesignMatrix, GaussianBelief, _check_noise_var
 _CHUNK = 65536
 # half-width of the quadrature box in marginal posterior standard deviations
 _BOX_STDS = 12.0
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor trapezoid grid: an odd node count per axis on a +-12-sigma box."""
-
-    nodes_per_dim: int = 801
-
-    def __post_init__(self):
-        n = self.nodes_per_dim
-        if not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0:
-            raise ValueError("nodes_per_dim must be an odd integer of at least 3")
+# trapezoid nodes per axis of the quadrature box (odd, so the center is a node)
+_NODES_PER_DIM = 801
 
 
 def _loglik_batch(thetas: np.ndarray, y: np.ndarray, phi: np.ndarray, sigma_e2: float) -> np.ndarray:
@@ -43,15 +34,14 @@ def _loglik_batch(thetas: np.ndarray, y: np.ndarray, phi: np.ndarray, sigma_e2: 
     ) / sigma_e2
 
 
-def quadrature_log_area(
-    y, design: DesignMatrix, sigma_e2: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
+def quadrature_log_area(y, design: DesignMatrix, sigma_e2: float) -> float:
     """Trapezoid-grid estimate of log integral of the likelihood over theta.
 
     Supports M <= 2 (the box grows exponentially with dimension).  The box is
     centered on the least-squares solution and spans ``_BOX_STDS`` marginal
-    posterior standard deviations per axis; the likelihood is evaluated from
-    its definition on the grid and accumulated entirely in log domain.
+    posterior standard deviations per axis, with ``_NODES_PER_DIM`` nodes
+    each; the likelihood is evaluated from its definition on the grid, in
+    slabs of rows of the first axis, and accumulated entirely in log domain.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     phi = design.phi
@@ -70,38 +60,23 @@ def quadrature_log_area(
     for j in range(m):
         lo = center[j] - _BOX_STDS * stds[j]
         hi = center[j] + _BOX_STDS * stds[j]
-        nodes = np.linspace(lo, hi, spec.nodes_per_dim)
+        nodes = np.linspace(lo, hi, _NODES_PER_DIM)
         h = nodes[1] - nodes[0]
-        w = np.full(spec.nodes_per_dim, h)
+        w = np.full(_NODES_PER_DIM, h)
         w[0] *= 0.5
         w[-1] *= 0.5
         axes.append(nodes)
         log_weights_1d.append(np.log(w))
 
-    if m == 1:
-        thetas = axes[0][:, None]
-        parts = []
-        for start in range(0, thetas.shape[0], _CHUNK):
-            block = slice(start, start + _CHUNK)
-            logf = _loglik_batch(thetas[block], y, phi, sigma_e2)
-            parts.append(scipy.special.logsumexp(logf + log_weights_1d[0][block]))
-        return float(scipy.special.logsumexp(parts))
-
-    # m == 2: sweep rows of the tensor grid in slabs
     parts = []
-    rows_per_slab = max(1, _CHUNK // spec.nodes_per_dim)
-    t2 = axes[1]
-    for start in range(0, spec.nodes_per_dim, rows_per_slab):
-        t1 = axes[0][start : start + rows_per_slab]
-        grid = np.stack(
-            [np.repeat(t1, t2.size), np.tile(t2, t1.size)], axis=1
-        )
+    rows_per_slab = max(1, _CHUNK // _NODES_PER_DIM ** (m - 1))
+    for start in range(0, _NODES_PER_DIM, rows_per_slab):
+        rows = slice(start, start + rows_per_slab)
+        mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
+        grid = np.stack(mesh, axis=-1).reshape(-1, m)
+        logw = functools.reduce(np.add.outer, [log_weights_1d[0][rows], *log_weights_1d[1:]])
         logf = _loglik_batch(grid, y, phi, sigma_e2)
-        logw = (
-            np.repeat(log_weights_1d[0][start : start + rows_per_slab], t2.size)
-            + np.tile(log_weights_1d[1], t1.size)
-        )
-        parts.append(scipy.special.logsumexp(logf + logw))
+        parts.append(scipy.special.logsumexp(logf + logw.ravel()))
     return float(scipy.special.logsumexp(parts))
 
 

@@ -113,11 +113,11 @@ class OptimizerConfig:
             _slot(name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds for {name!r} must be finite with lo < hi")
-        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
+        if not model._is_count(self.grid_points) or self.grid_points < 2:
             raise ValueError("grid_points must be an integer of at least 2")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive")
-        if not isinstance(self.max_evals, (int, np.integer)) or self.max_evals < 1:
+        if not model._is_count(self.max_evals) or self.max_evals < 1:
             raise ValueError("max_evals must be an integer of at least 1")
         for lo_name, hi_name in self.ordering:
             if lo_name not in self.bounds or hi_name not in self.bounds:
@@ -232,13 +232,13 @@ class _Sweep:
         return kept, merged
 
 
-def _fit_design(dataset: Dataset, family: BasisFamily, alpha, posterior: bool = False):
+def _fit_design(dataset: Dataset, family: BasisFamily, alpha):
     """The flat fit of alpha's design built alone, or None where it is degenerate."""
     try:
         design = build_design_matrix(dataset, family, alpha)
     except _DEGENERATE:
         return None
-    return improper_prior._flat_fit(dataset.outputs, design, posterior)
+    return improper_prior._flat_fit(dataset.outputs, design)
 
 
 def _score_point(sweep: _Sweep, dataset: Dataset, family: BasisFamily, vec, value):
@@ -269,8 +269,8 @@ def _score_posteriors(sweep: _Sweep, points, dataset: Dataset, family: BasisFami
 
     The one-design loop of :func:`build_hyper_posterior`.  ``kept`` flags
     the feasible points, by :meth:`_Sweep.merge`.  ``scored`` holds, per
-    point, ``score(fit, sigma_e2)`` of the :func:`_fit_design` of its alpha
-    with its posterior, or None where the point is infeasible or the design
+    point, ``score(fit, sigma_e2)`` of the :func:`_fit_design` of its alpha,
+    or None where the point is infeasible or the design
     degenerate.  Each fit is dropped once its points are scored.
     """
     kept, merged = sweep.merge(points)
@@ -279,7 +279,7 @@ def _score_posteriors(sweep: _Sweep, points, dataset: Dataset, family: BasisFami
     groups = np.split(order, np.flatnonzero(np.diff(design_of)) + 1)
     scored = [None] * len(points)
     for alpha, group in zip(distinct, groups):
-        fitted = _fit_design(dataset, family, alpha, posterior=True)
+        fitted = _fit_design(dataset, family, alpha)
         if fitted is not None:
             for k in group.tolist():
                 scored[rows[k]] = score(fitted, sigmas[k])

@@ -50,13 +50,6 @@ class TestTable2:
         assert [[int(r[0]), float(r[1]), float(r[2])] for r in rows] == [list(w) for w in want]
         assert capsys.readouterr().out.count("note: c=0: residual is zero") == 1
 
-    def test_json_format(self, tmp_path):
-        assert main(["table2", "--out", str(tmp_path), "--format", "json"]) == 0
-        payload = json.loads((tmp_path / "table2.json").read_text())
-        assert payload["columns"] == ["c", "sigma2_ml", "sigma2_area"]
-        assert len(payload["rows"]) == 4
-        assert payload["meta"]["experiment"] == "table2"
-
 
 class TestAsymptote:
     def test_columns_and_tail(self, tmp_path):
@@ -217,7 +210,7 @@ class TestUsageErrors:
             ["example2", "--seed", "1"],
             ["example2", "--runs", "0", "--seed", "1"],
             ["example2", "--runs", "2", "--seed", "1", "--jobs", "0"],
-            ["table2", "--format", "xml"],
+            ["table2", "--format", "csv"],
             ["example2", "--runs", "1", "--seed", "1"],
             ["example2", "--runs", "2.5", "--seed", "1"],
             ["example2", "--runs", "2", "--seed", "1", "--jobs", "-1"],

@@ -353,9 +353,9 @@ class TestBuildHyperPosterior:
         original = linevidence.improper_prior._flat_fit
         fitted = []
 
-        def counted(y, design, *args, **kwargs):
+        def counted(y, design):
             fitted.append(design.phi)
-            return original(y, design, *args, **kwargs)
+            return original(y, design)
 
         monkeypatch.setattr(linevidence.improper_prior, "_flat_fit", counted)
         # the posterior sweep fits the 6 alphas with distinct centers alone,
@@ -454,7 +454,7 @@ class TestSamplePosterior:
             sample_posterior(grid, 0, 5, seed=1)
         with pytest.raises(ValueError):
             sample_posterior(grid, 5, 0, seed=1)
-        for n_outer, n_inner in [(2.5, 5), (3.0, 5), (np.float64(2), 5), (5, 2.5)]:
+        for n_outer, n_inner in [(2.5, 5), (3.0, 5), (np.float64(2), 5), (5, 2.5), (True, 5)]:
             with pytest.raises(ValueError, match="integers of at least 1"):
                 sample_posterior(grid, n_outer, n_inner, seed=1)
 

@@ -13,7 +13,6 @@ import pytest
 
 from linevidence import (
     BasisFamily,
-    ConsistencyError,
     Dataset,
     DegenerateDof,
     DegenerateFitWarning,
@@ -21,11 +20,11 @@ from linevidence import (
     DimensionMismatch,
     EvidenceReport,
     GaussianBelief,
-    QuadratureSpec,
     build_design_matrix,
     flat_posterior_coefficients,
     log_area_under_likelihood,
     log_likelihood,
+    ml_estimate,
     predict_at,
     quadrature_log_area,
     unbiased_noise_variance,
@@ -150,7 +149,7 @@ class TestLogArea:
         design = ones_design(2)
         report = log_area_under_likelihood(y, design, 1.0)
         assert report.log_value == pytest.approx(-2.2655121234846454, abs=1e-12)
-        oracle = quadrature_log_area(y, design, 1.0, QuadratureSpec())
+        oracle = quadrature_log_area(y, design, 1.0)
         assert report.log_value == pytest.approx(oracle, rel=1e-6)
 
     def test_frozen_value_wider_pair(self):
@@ -161,7 +160,7 @@ class TestLogArea:
         assert report.fitting_term == pytest.approx(4.0, rel=1e-14)
         assert report.penalty_term == pytest.approx(0.5 * math.log(2.0), rel=1e-14)
         assert report.constant_term == pytest.approx(0.5 * math.log(2.0 * math.pi), rel=1e-14)
-        oracle = quadrature_log_area(y, design, 1.0, QuadratureSpec())
+        oracle = quadrature_log_area(y, design, 1.0)
         assert report.log_value == pytest.approx(oracle, rel=1e-6)
 
     def test_report_identity(self):
@@ -188,10 +187,15 @@ class TestUnbiasedNoiseVariance:
 
     def test_square_design_rejected(self):
         design = poly_design(2, 2)
-        with pytest.raises(DegenerateDof):
+        with pytest.raises(DegenerateDof, match="requires N > M residual degrees of freedom"):
             unbiased_noise_variance(np.array([1.0, 2.0]), design)
 
-
-class TestInternalIdentities:
-    def test_consistency_error_is_exported(self):
-        assert issubclass(ConsistencyError, Exception)
+    def test_counts_dof(self):
+        x = np.linspace(0, 1, 7)
+        ds = Dataset(inputs=x[:, None], outputs=np.cos(5.0 * x))
+        design = build_design_matrix(ds, BasisFamily("polynomial", 2), [])
+        # ml_estimate divides the same residual by N = 7
+        _, sigma2_ml = ml_estimate(ds.outputs, design)
+        assert unbiased_noise_variance(ds.outputs, design) == pytest.approx(
+            sigma2_ml * 7 / 5, rel=1e-14
+        )

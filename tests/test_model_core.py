@@ -12,19 +12,17 @@ from scipy.linalg.lapack import dtrtri
 from linevidence import (
     BasisFamily,
     Dataset,
-    DegenerateDof,
     DimensionMismatch,
     GaussianBelief,
     HyperParams,
     RankDeficient,
     SingularPrior,
     build_design_matrix,
-    feature_vector,
     flat_posterior_coefficients,
     log_likelihood,
     ml_estimate,
+    predict_at,
     resampling_estimator_stats,
-    unbiased_noise_variance,
 )
 from linevidence import model
 from linevidence.model import (
@@ -78,8 +76,9 @@ class TestBasisFamily:
             BasisFamily("fourier", 2)
 
     def test_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            BasisFamily("constant", 0)
+        for size in (0, True):
+            with pytest.raises(ValueError):
+                BasisFamily("constant", size)
 
     def test_bad_width(self):
         with pytest.raises(ValueError):
@@ -111,7 +110,8 @@ class TestDesignMatrix:
 
     def test_exponential_abs_row(self):
         # centers [-4, 6] evaluated at x = -4: |x-c| is 0 and 10
-        row = feature_vector(BasisFamily("exponential-abs", 2), [-4.0, 6.0], -4.0)
+        family = BasisFamily("exponential-abs", 2)
+        row = model._basis_matrix(family, np.array([-4.0, 6.0]), np.array([[-4.0]]))[0]
         np.testing.assert_allclose(row, [1.0, math.exp(10.0)], rtol=1e-15)
 
     def test_exponential_abs_matches_formula(self):
@@ -189,11 +189,12 @@ class TestDesignMatrix:
             build_design_matrix(ds, family, [0.0, 400.0])
 
     def test_feature_vector_overflow_still_warns(self):
-        # feature_vector checks nothing: the overflow comes back as inf
+        # predict_at does not check its basis row: the overflow comes back as inf
         family = BasisFamily("exponential-abs", 1)
+        posterior = GaussianBelief(mean=[1.0], cov=[[1.0]])
         with pytest.warns(RuntimeWarning, match="overflow"):
-            row = feature_vector(family, [0.0], 800.0)
-        assert row[0] == math.inf
+            mean, var = predict_at(800.0, family, [0.0], posterior)
+        assert mean == var == math.inf
 
     # below one block of rows, whole blocks only, and whole blocks with leftover rows
     @pytest.mark.parametrize("n", [200, 1024, 1100])
@@ -404,7 +405,9 @@ class TestStackedDesigns:
         assert fits.log_det_gram.tobytes() == np.array([d.log_det_gram for d in designs]).tobytes()
         inverse = model._cho_solve(fits.chol, np.broadcast_to(np.eye(m), fits.chol.shape))
         inverse = 0.5 * (inverse + inverse.swapaxes(-1, -2))
-        assert inverse.tobytes() == np.array([d.inv_gram() for d in designs]).tobytes()
+        assert inverse.tobytes() == np.array([d.inv_gram for d in designs]).tobytes()
+        # each design keeps one inverse, which no caller may write
+        assert not any(d.inv_gram.flags.writeable for d in designs)
         energy = [float((y - d.phi @ theta) @ (y - d.phi @ theta)) for d in designs]
         assert model._stacked_energy(y, fits.phi, theta).tobytes() == np.array(energy).tobytes()
 
@@ -639,23 +642,3 @@ class TestSamplingDistribution:
                 want = cov[i, j]
                 se = math.sqrt((cov[i, i] * cov[j, j] + want**2) / (reps - 1))
                 assert abs(stats_out.theta_cov[i, j] - want) < 3 * se
-
-
-class TestResidualDof:
-    """The unbiased noise variance divides the residual by N - M."""
-
-    def test_square_design_degenerate(self):
-        ds = Dataset(inputs=[[0.0], [1.0]], outputs=[0.0, 1.0])
-        design = build_design_matrix(ds, BasisFamily("polynomial", 2), [])
-        with pytest.raises(DegenerateDof, match="requires N > M residual degrees of freedom"):
-            unbiased_noise_variance(ds.outputs, design)
-
-    def test_counts_dof(self):
-        x = np.linspace(0, 1, 7)
-        ds = Dataset(inputs=x[:, None], outputs=np.cos(5.0 * x))
-        design = build_design_matrix(ds, BasisFamily("polynomial", 2), [])
-        # ml_estimate divides the same residual by N = 7
-        _, sigma2_ml = ml_estimate(ds.outputs, design)
-        assert unbiased_noise_variance(ds.outputs, design) == pytest.approx(
-            sigma2_ml * 7 / 5, rel=1e-14
-        )

@@ -14,7 +14,6 @@ from linevidence import (
     BasisFamily,
     Dataset,
     DimensionTooLarge,
-    QuadratureSpec,
     build_design_matrix,
     isotropic_prior,
     log_likelihood,
@@ -22,6 +21,7 @@ from linevidence import (
     quadrature_log_area,
     resampling_estimator_stats,
 )
+from linevidence import oracles
 
 
 def poly_design(n, m, y=None):
@@ -31,35 +31,13 @@ def poly_design(n, m, y=None):
     return build_design_matrix(dataset, BasisFamily("polynomial", m), [])
 
 
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.nodes_per_dim == 801
-
-    @pytest.mark.parametrize("nodes", [2, 800, 1])
-    def test_rejects_even_or_tiny_node_counts(self, nodes):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes_per_dim=nodes)
-
-    @pytest.mark.parametrize("nodes", [3.0, 801.0, np.float64(5.0)])
-    def test_rejects_non_integer_node_counts(self, nodes):
-        # a float count would reach np.linspace and fail there with a TypeError
-        with pytest.raises(ValueError, match="odd integer"):
-            QuadratureSpec(nodes_per_dim=nodes)
-
-    def test_accepts_numpy_integer_node_counts(self):
-        assert QuadratureSpec(nodes_per_dim=np.int64(5)).nodes_per_dim == 5
-
-
 class TestQuadratureArea:
     def test_normalized_gaussian_has_zero_log_area(self):
         # N = M = 1: the likelihood is a normalized density in theta, so the
         # area is exactly 1 whatever y and sigma_e2 are
         design = poly_design(1, 1)
         y = np.array([0.7])
-        assert quadrature_log_area(y, design, 0.9, QuadratureSpec()) == pytest.approx(
-            0.0, abs=1e-8
-        )
+        assert quadrature_log_area(y, design, 0.9) == pytest.approx(0.0, abs=1e-8)
 
     def test_one_dim_matches_adaptive_scipy_quad(self):
         design = poly_design(3, 1)
@@ -78,7 +56,7 @@ class TestQuadratureArea:
         )
         assert err < 1e-10
         expected = ll_max + math.log(value)
-        ours = quadrature_log_area(y, design, sigma2, QuadratureSpec())
+        ours = quadrature_log_area(y, design, sigma2)
         assert ours == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_two_dim_matches_scipy_dblquad(self):
@@ -100,25 +78,26 @@ class TestQuadratureArea:
             epsabs=1e-11, epsrel=1e-10,
         )
         expected = ll_max + math.log(value)
-        ours = quadrature_log_area(y, design, sigma2, QuadratureSpec())
+        ours = quadrature_log_area(y, design, sigma2)
         assert ours == pytest.approx(expected, rel=1e-7)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_stable_under_grid_refinement(self, seed):
+    def test_stable_under_grid_refinement(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 9))
         m = int(rng.integers(1, 3))
         design = poly_design(n, m)
         y = rng.normal(size=n)
         sigma2 = float(rng.uniform(0.3, 2.0))
-        coarse = quadrature_log_area(y, design, sigma2, QuadratureSpec())
-        fine = quadrature_log_area(y, design, sigma2, QuadratureSpec(nodes_per_dim=1603))
+        coarse = quadrature_log_area(y, design, sigma2)
+        monkeypatch.setattr(oracles, "_NODES_PER_DIM", 1603)
+        fine = quadrature_log_area(y, design, sigma2)
         assert abs(fine - coarse) < 1e-7
 
     def test_three_dims_rejected(self):
         design = poly_design(5, 3)
         with pytest.raises(DimensionTooLarge):
-            quadrature_log_area(np.zeros(5), design, 1.0, QuadratureSpec())
+            quadrature_log_area(np.zeros(5), design, 1.0)
 
 
 class TestMonteCarloMarginal:

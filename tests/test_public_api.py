@@ -28,7 +28,6 @@ PUBLIC = [
     "NonFiniteMassWarning",
     "OptimizerConfig",
     "ProfileResult",
-    "QuadratureSpec",
     "RankDeficient",
     "ResamplingStats",
     "SingularPrior",
@@ -38,7 +37,6 @@ PUBLIC = [
     "build_hyper_posterior",
     "diffuse_limit_decomposition",
     "empirical_bayes_optimize",
-    "feature_vector",
     "flat_posterior_coefficients",
     "isotropic_prior",
     "log_area_under_likelihood",

@@ -154,6 +154,8 @@ class TestOptimizerConfig:
             },
             {"bounds": {"alpha0": (0.0, 1.0)}, "max_evals": float("nan")},
             {"bounds": {"alpha0": (0.0, 1.0)}, "max_evals": 2.5},
+            {"bounds": {"alpha0": (0.0, 1.0)}, "grid_points": True},
+            {"bounds": {"alpha0": (0.0, 1.0)}, "max_evals": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
